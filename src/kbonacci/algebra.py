@@ -15,8 +15,10 @@ alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}; otherwise the first i-2 rows of
 ladder i hold the vacuum value until the argument index is nonnegative.
 
 Arithmetic is exact (Fraction) when every function is affine with rational
-coefficients, or float64 on request. Truncated operator matrices realize
-the algebra on a finite-dimensional Fock block for relation checks.
+coefficients, or float64 on request. A truncation to the first dim Fock
+levels keeps the operators as bands: H and the J_i are diagonal and the
+raising operator has one subdiagonal, so each defining relation is checked
+entry by entry on its band, by one routine for both arithmetic modes.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import (
+    ComputationError,
     ExactModeUnavailableError,
     NonUnitaryRepresentationError,
     TruncationTooSmallError,
@@ -44,12 +47,10 @@ __all__ = [
     "GHASpec",
     "SpectrumRow",
     "SpectrumTable",
-    "PhysicalityReport",
     "TruncatedOps",
     "RelationResidual",
     "VerificationReport",
     "spectrum",
-    "physicality_report",
     "truncated_operators",
     "verify_relations",
 ]
@@ -142,10 +143,27 @@ class SpectrumRow:
 
 @dataclass(frozen=True)
 class SpectrumTable:
+    """Fock levels 0..n_max and where each physicality condition first fails.
+
+    A first-failure level is None when the condition holds on every level.
+    """
+
     rows: tuple[SpectrumRow, ...]
-    physical_energy: bool  # every alpha_n^(1) >= 0
-    unitary: bool  # every N_n^2 >= 0
-    nondecreasing: bool  # alpha^(1) column nondecreasing
+    first_negative_energy: Optional[int]  # first n with alpha_n^(1) < 0
+    first_negative_norm_sq: Optional[int]  # first n with N_n^2 < 0
+    first_decrease: Optional[int]  # first n with alpha_n^(1) < alpha_{n-1}^(1)
+
+    @property
+    def physical_energy(self) -> bool:
+        return self.first_negative_energy is None
+
+    @property
+    def unitary(self) -> bool:
+        return self.first_negative_norm_sq is None
+
+    @property
+    def nondecreasing(self) -> bool:
+        return self.first_decrease is None
 
 
 def _evaluators(spec: GHASpec) -> list[Callable]:
@@ -177,11 +195,30 @@ def _linear_slopes(spec: GHASpec) -> Optional[list[Fraction]]:
     return slopes
 
 
+def _exact_norm(nsq: Fraction, n: int) -> float:
+    """sqrt(nsq) as a float, also where nsq itself is beyond the float range.
+
+    Where float(nsq) fits this is math.sqrt(float(nsq)). Beyond that nsq is
+    divided by 4^h before rounding and the root is scaled back by 2^h.
+    """
+    try:
+        return math.sqrt(float(nsq))
+    except OverflowError:
+        pass
+    half = (nsq.numerator.bit_length() - nsq.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(float(nsq / 4**half)), half)
+    except OverflowError:
+        raise ComputationError(f"norm N_{n} overflows float64 at level n={n}") from None
+
+
 def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
-    """Levels 0..n_max of the Fock spectrum with physicality flags.
+    """Levels 0..n_max of the Fock spectrum with physicality levels.
 
     Exact mode returns Fractions in alphas and nsq; float64 mode returns
     floats. norm is always a float square root (None when nsq < 0).
+    ComputationError names the level where a float64 value overflows or is
+    not finite, or where a norm is beyond the float64 range.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -194,102 +231,88 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         vacuum = [float(v) for v in spec.vacuum]
 
     slopes = _linear_slopes(spec)
-    negatives = {}
+    energies = {}  # alpha_n^(1) by level n
     if slopes is not None:
         # Seed convention: alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}.
         for m in range(1, k):
             value = Fraction(spec.vacuum[m]) / slopes[m]
-            negatives[-m] = value if exact else float(value)
-
-    energies = [vacuum[0]]
-    ladders = {i: [vacuum[i - 1]] for i in range(2, k + 1)}
-
-    def alpha1(idx: int):
-        if idx >= 0:
-            return energies[idx]
-        return negatives[idx]
-
-    nsq0 = fns[0](vacuum[0]) - vacuum[0]
-    for i in range(2, k + 1):
-        nsq0 = nsq0 + ladders[i][0]
-    nsqs = [nsq0]
-
-    for n in range(n_max):
-        new_energy = fns[0](energies[n])
-        for i in range(2, k + 1):
-            new_energy = new_energy + ladders[i][n]
-        energies.append(new_energy)
-        for i in range(2, k + 1):
-            arg = n - i + 2
-            if arg >= 0 or slopes is not None:
-                ladders[i].append(fns[i - 1](alpha1(arg)))
-            else:
-                # Hold the vacuum value until the recursion argument exists.
-                ladders[i].append(vacuum[i - 1])
-        bracket = fns[0](energies[n + 1]) - energies[n + 1]
-        for i in range(2, k + 1):
-            bracket = bracket + ladders[i][n + 1]
-        nsqs.append(nsqs[n] + bracket)
+            energies[-m] = value if exact else float(value)
 
     rows = []
+    nsq = None
+    first_negative_energy = first_negative_norm_sq = first_decrease = None
     for n in range(n_max + 1):
-        alphas = (energies[n], *(ladders[i][n] for i in range(2, k + 1)))
-        nsq = nsqs[n]
-        norm = math.sqrt(float(nsq)) if nsq >= 0 else None
+        try:
+            if n == 0:
+                alphas = tuple(vacuum)
+            else:
+                prev = rows[-1].alphas
+                energy = fns[0](prev[0])
+                for value in prev[1:]:
+                    energy = energy + value
+                # Ladder i holds its vacuum value until alpha_{n-i+1} exists.
+                alphas = (energy, *(
+                    fns[i - 1](energies[n - i + 1]) if n - i + 1 in energies else vacuum[i - 1]
+                    for i in range(2, k + 1)
+                ))
+            bracket = fns[0](alphas[0]) - alphas[0]
+            for value in alphas[1:]:
+                bracket = bracket + value
+            nsq = bracket if n == 0 else nsq + bracket
+        except OverflowError:
+            raise ComputationError(f"float64 overflow at level n={n}") from None
+        if not exact and not all(map(math.isfinite, (*alphas, nsq))):
+            raise ComputationError(f"float64 value is not finite at level n={n}")
+        energies[n] = alphas[0]
+        if alphas[0] < 0 and first_negative_energy is None:
+            first_negative_energy = n
+        if n and alphas[0] < energies[n - 1] and first_decrease is None:
+            first_decrease = n
+        if nsq < 0:
+            norm = None
+            if first_negative_norm_sq is None:
+                first_negative_norm_sq = n
+        else:
+            norm = _exact_norm(nsq, n) if exact else math.sqrt(nsq)
         rows.append(SpectrumRow(n, alphas, nsq, norm))
-    physical = all(r.alphas[0] >= 0 for r in rows)
-    unitary = all(r.nsq >= 0 for r in rows)
-    nondecr = all(
-        rows[n + 1].alphas[0] >= rows[n].alphas[0] for n in range(len(rows) - 1)
-    )
-    return SpectrumTable(tuple(rows), physical, unitary, nondecr)
-
-
-@dataclass(frozen=True)
-class PhysicalityReport:
-    """First level at which each physicality condition fails (None if never)."""
-
-    first_negative_energy: Optional[int]
-    first_negative_norm_sq: Optional[int]
-    first_decrease: Optional[int]
-
-    @property
-    def physical_energy(self) -> bool:
-        return self.first_negative_energy is None
-
-    @property
-    def unitary(self) -> bool:
-        return self.first_negative_norm_sq is None
-
-    @property
-    def nondecreasing(self) -> bool:
-        return self.first_decrease is None
-
-
-def physicality_report(table: SpectrumTable) -> PhysicalityReport:
-    first_neg = next((r.n for r in table.rows if r.alphas[0] < 0), None)
-    first_nonunitary = next((r.n for r in table.rows if r.nsq < 0), None)
-    first_decrease = None
-    for n in range(len(table.rows) - 1):
-        if table.rows[n + 1].alphas[0] < table.rows[n].alphas[0]:
-            first_decrease = n + 1
-            break
-    return PhysicalityReport(first_neg, first_nonunitary, first_decrease)
+    return SpectrumTable(tuple(rows), first_negative_energy, first_negative_norm_sq, first_decrease)
 
 
 @dataclass(frozen=True)
 class TruncatedOps:
-    """Operators on the first dim Fock levels, all real float64 matrices.
+    """The algebra on the first dim Fock levels, stored as bands.
 
-    hamiltonian and the j_operators are diagonal; raising carries N_n on the
-    first subdiagonal and lowering is its transpose.
+    table holds levels 0..dim-1 in the spec's arithmetic. hamiltonian and the
+    j_operators are diagonal with the alphas as entries; raising carries N_n
+    on its first subdiagonal and lowering is its transpose. These properties
+    build dense float64 matrices on each access; verify_relations works on
+    the bands directly.
     """
 
     dim: int
-    hamiltonian: np.ndarray
-    j_operators: tuple[np.ndarray, ...]  # J_i for i = 2..k
-    raising: np.ndarray
-    lowering: np.ndarray
+    table: SpectrumTable
+
+    def _diagonal(self, column: int) -> np.ndarray:
+        return np.diag([float(row.alphas[column]) for row in self.table.rows])
+
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        return self._diagonal(0)
+
+    @property
+    def j_operators(self) -> tuple[np.ndarray, ...]:
+        """J_i for i = 2..k."""
+        k = len(self.table.rows[0].alphas)
+        return tuple(self._diagonal(i - 1) for i in range(2, k + 1))
+
+    @property
+    def raising(self) -> np.ndarray:
+        norms = [row.norm for row in self.table.rows[:-1]]
+        return np.diag(np.array(norms, dtype=float), -1)
+
+    @property
+    def lowering(self) -> np.ndarray:
+        return self.raising.T.copy()
 
     def kappa(self, n: int, i: int) -> float:
         """Product N_{n-1} * ... * N_{n-i+1} (empty product 1.0 for i = 1)."""
@@ -299,12 +322,12 @@ class TruncatedOps:
             raise ValueError(f"kappa({n},{i}) needs levels n-i+1..n-1 inside 0..dim-1")
         out = 1.0
         for m in range(n - i + 1, n):
-            out *= self.raising[m + 1, m]
+            out *= self.table.rows[m].norm
         return out
 
 
 def truncated_operators(spec: GHASpec, dim: int) -> TruncatedOps:
-    """Matrices of H, J_i, and the ladder pair on the first dim levels.
+    """H, J_i, and the ladder pair on the first dim levels.
 
     Requires N_n^2 >= 0 for every n < dim; the first violating level raises
     NonUnitaryRepresentationError.
@@ -312,29 +335,10 @@ def truncated_operators(spec: GHASpec, dim: int) -> TruncatedOps:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     table = spectrum(spec, dim - 1)
-    for row in table.rows:
-        if row.nsq < 0:
-            raise NonUnitaryRepresentationError(row.n, row.nsq)
-    k = spec.k
-    h = np.zeros((dim, dim))
-    for row in table.rows:
-        h[row.n, row.n] = float(row.alphas[0])
-    j_ops = []
-    for i in range(2, k + 1):
-        j = np.zeros((dim, dim))
-        for row in table.rows:
-            j[row.n, row.n] = float(row.alphas[i - 1])
-        j_ops.append(j)
-    raising = np.zeros((dim, dim))
-    for n in range(dim - 1):
-        raising[n + 1, n] = table.rows[n].norm
-    return TruncatedOps(
-        dim=dim,
-        hamiltonian=h,
-        j_operators=tuple(j_ops),
-        raising=raising,
-        lowering=raising.T.copy(),
-    )
+    level = table.first_negative_norm_sq
+    if level is not None:
+        raise NonUnitaryRepresentationError(level, table.rows[level].nsq)
+    return TruncatedOps(dim, table)
 
 
 @dataclass(frozen=True)
@@ -358,187 +362,81 @@ class VerificationReport:
         return all(e.passed for e in self.entries)
 
 
-def _exact_matrices(spec: GHASpec, dim: int):
-    # Exact verification rescales the ladder pair: raising carries N_n^2 on
-    # the subdiagonal and lowering carries ones. Every relation's matrix
-    # element is (product of subdiagonal weights) * (scalar recursion
-    # residual), so the zero set matches the true sqrt-weighted operators
-    # while staying inside Fraction arithmetic.
-    table = spectrum(spec, dim - 1)
-    zero = Fraction(0)
-    k = spec.k
+def _band_residual(label: str, entries, tol: float) -> RelationResidual:
+    """Worst relative residual over the band entries of one relation.
 
-    def diag(vals):
-        return [
-            [vals[r] if r == c else zero for c in range(dim)] for r in range(dim)
-        ]
-
-    h = diag([row.alphas[0] for row in table.rows])
-    js = [diag([row.alphas[i - 1] for row in table.rows]) for i in range(2, k + 1)]
-    ad = [[zero] * dim for _ in range(dim)]
-    a = [[zero] * dim for _ in range(dim)]
-    for n in range(dim - 1):
-        ad[n + 1][n] = Fraction(table.rows[n].nsq)
-        a[n][n + 1] = Fraction(1)
-    pairs = [fn.affine_form() for fn in spec.functions]
-    f_of_h = [
-        diag([p[0] * row.alphas[0] + p[1] for row in table.rows]) for p in pairs
-    ]
-    return h, js, ad, a, f_of_h
-
-
-def _mat_mul_exact(x, y, dim):
-    zero = Fraction(0)
-    out = [[zero] * dim for _ in range(dim)]
-    for r in range(dim):
-        xr = x[r]
-        for m in range(dim):
-            v = xr[m]
-            if v == 0:
-                continue
-            ym = y[m]
-            orow = out[r]
-            for c in range(dim):
-                if ym[c] != 0:
-                    orow[c] += v * ym[c]
-    return out
-
-
-def _mat_sub_exact(x, y, dim):
-    return [[x[r][c] - y[r][c] for c in range(dim)] for r in range(dim)]
-
-
-def _mat_add_exact(x, y, dim):
-    return [[x[r][c] + y[r][c] for c in range(dim)] for r in range(dim)]
-
-
-def _max_abs_exact(mat, dim, col_hi, row_hi=None) -> float:
-    row_hi = dim if row_hi is None else row_hi
-    worst = Fraction(0)
-    for r in range(row_hi):
-        for c in range(col_hi):
-            v = mat[r][c]
-            if v < 0:
-                v = -v
-            if v > worst:
-                worst = v
-    return float(worst)
-
-
-def _verify_exact(spec: GHASpec, dim: int, tol: float) -> list[RelationResidual]:
-    k = spec.k
-    h, js, ad, a, f_of_h = _exact_matrices(spec, dim)
-    mul = lambda x, y: _mat_mul_exact(x, y, dim)
-    entries = []
-
-    rhs = f_of_h[0]
-    for j in js:
-        rhs = _mat_add_exact(rhs, j, dim)
-    res = _mat_sub_exact(mul(h, ad), mul(ad, rhs), dim)
-    r = _max_abs_exact(res, dim, dim - 1)
-    entries.append(RelationResidual("H.raising", r, r <= tol))
-
-    power = None
-    for idx, i in enumerate(range(2, k + 1)):
-        power = ad if power is None else mul(power, ad)
-        res = _mat_sub_exact(mul(js[idx], power), mul(power, f_of_h[i - 1]), dim)
-        r = _max_abs_exact(res, dim, dim - i + 1)
-        entries.append(RelationResidual(f"J{i}.raising^{i - 1}", r, r <= tol))
-
-    comm = _mat_sub_exact(mul(a, ad), mul(ad, a), dim)
-    res = _mat_sub_exact(comm, _mat_sub_exact(rhs, h, dim), dim)
-    r = _max_abs_exact(res, dim, dim - 1, dim - 1)
-    entries.append(RelationResidual("[lowering,raising]", r, r <= tol))
-
-    worst = Fraction(0)
-    for j in js:
-        res = _mat_sub_exact(mul(h, j), mul(j, h), dim)
-        m = _max_abs_exact(res, dim, dim)
-        worst = max(worst, m)
-    entries.append(RelationResidual("[H,Ji]", float(worst), worst <= tol))
-
+    Each entry is (weight, lhs, rhs, *parts): the matrix element
+    weight*lhs - weight*rhs, with parts any further terms lhs and rhs were
+    combined from. Its residual is |weight| |lhs - rhs| divided by
+    max(1, |weight| * largest |term|), computed without forming the
+    products, so a float64 weight beyond the float range stays usable.
+    """
     worst = 0.0
-    for x in range(len(js)):
-        for y in range(x + 1, len(js)):
-            res = _mat_sub_exact(mul(js[x], js[y]), mul(js[y], js[x]), dim)
-            worst = max(worst, _max_abs_exact(res, dim, dim))
-    entries.append(RelationResidual("[Ji,Jj]", worst, worst <= tol))
-    return entries
-
-
-def _float_f_matrices(ops: TruncatedOps, spec: GHASpec) -> list[np.ndarray]:
-    fns = _evaluators(spec)
-    dim = ops.dim
-    diag_alpha = np.diag(ops.hamiltonian).copy()
-    out = []
-    for fn in fns:
-        m = np.zeros((dim, dim))
-        for n in range(dim):
-            m[n, n] = fn(diag_alpha[n])
-        out.append(m)
-    return out
-
-
-def _verify_float(ops: TruncatedOps, spec: GHASpec, tol: float) -> list[RelationResidual]:
-    k = spec.k
-    dim = ops.dim
-    h = ops.hamiltonian
-    ad = ops.raising
-    a = ops.lowering
-    f_mats = _float_f_matrices(ops, spec)
-    entries = []
-
-    rhs = f_mats[0]
-    for j in ops.j_operators:
-        rhs = rhs + j
-    res = h @ ad - ad @ rhs
-    r = float(np.max(np.abs(res[:, : dim - 1]))) if dim > 1 else 0.0
-    entries.append(RelationResidual("H.raising", r, r <= tol))
-
-    power = np.eye(dim)
-    for idx, i in enumerate(range(2, k + 1)):
-        power = power @ ad
-        res = ops.j_operators[idx] @ power - power @ f_mats[i - 1]
-        r = float(np.max(np.abs(res[:, : dim - i + 1])))
-        entries.append(RelationResidual(f"J{i}.raising^{i - 1}", r, r <= tol))
-
-    comm = a @ ad - ad @ a
-    res = comm - (rhs - h)
-    r = float(np.max(np.abs(res[: dim - 1, : dim - 1]))) if dim > 1 else 0.0
-    entries.append(RelationResidual("[lowering,raising]", r, r <= tol))
-
-    worst = 0.0
-    for j in ops.j_operators:
-        worst = max(worst, float(np.max(np.abs(h @ j - j @ h))))
-    entries.append(RelationResidual("[H,Ji]", worst, worst <= tol))
-
-    worst = 0.0
-    for x in range(len(ops.j_operators)):
-        for y in range(x + 1, len(ops.j_operators)):
-            jx, jy = ops.j_operators[x], ops.j_operators[y]
-            worst = max(worst, float(np.max(np.abs(jx @ jy - jy @ jx))))
-    entries.append(RelationResidual("[Ji,Jj]", worst, worst <= tol))
-    return entries
+    for weight, lhs, rhs, *parts in entries:
+        diff = abs(lhs - rhs)
+        if diff:
+            scale = max(abs(lhs), abs(rhs), *map(abs, parts))
+            weight = abs(weight)
+            r = float(diff / scale if weight * scale > 1 else weight * diff)
+            if not math.isfinite(r):
+                raise ComputationError(f"{label}: band entry overflows float64")
+            worst = max(worst, r)
+    return RelationResidual(label, worst, worst <= tol)
 
 
 def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> VerificationReport:
-    """Max-norm residuals of the defining relations on the truncated block.
+    """Relative residuals of the defining relations on the truncated block.
 
-    Checked on the rows/columns unaffected by truncation: the ladder
-    relation on columns 0..D-2, each intertwining relation J_i a+^(i-1) on
-    columns 0..D-i, the commutator on indices 0..D-2, and the diagonal
-    commutators everywhere. Exact-mode specs verify over exact rationals
-    (residuals are exactly zero when the recursions hold); float64 specs
-    verify with float64 matrix products.
+    H, the J_i and f_i(H) are diagonal and raising has one subdiagonal, so
+    each relation is nonzero on one band only and is evaluated there from
+    ops' levels and spec's level functions, in O(dim*k). Checked are the
+    entries unaffected by truncation: H.raising = raising.(f_1(H) + sum J_i)
+    on columns 0..dim-2, J_i.raising^(i-1) = raising^(i-1).f_i(H) on columns
+    0..dim-i, and [lowering,raising] = f_1(H) + sum J_i - H on levels
+    0..dim-2. [H,Ji] and [Ji,Jj] hold by construction (all diagonal) and
+    read 0.
+
+    An entry's residual is |lhs - rhs| divided by max(1, largest |term|),
+    the terms being the operator products the entry is made of; tol bounds
+    this relative residual. Exact specs weight raising by N_n^2 and lowering
+    by 1, so every entry is a rational product of N_n^2 values times a
+    scalar recursion residual and is exactly zero when the recursions hold;
+    float64 specs weight both by N_n.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if ops.dim < spec.k:
-        raise TruncationTooSmallError(
-            f"dim {ops.dim} below algebra order k={spec.k}"
-        )
+    dim = ops.dim
+    if dim < spec.k:
+        raise TruncationTooSmallError(f"dim {dim} below algebra order k={spec.k}")
+    rows = ops.table.rows
+    fns = _evaluators(spec)
+    energy = [row.alphas[0] for row in rows]
+    # squares[n] = (lowering.raising)[n, n] = N_n^2 under either weighting.
     if spec.arithmetic == "exact":
-        entries = _verify_exact(spec, ops.dim, tol)
+        up = squares = [row.nsq for row in rows[:-1]]
     else:
-        entries = _verify_float(ops, spec, tol)
+        up = [row.norm for row in rows[:-1]]
+        squares = [x * x for x in up]
+    # f_1(H) + sum J_i on the diagonal, summed in spectrum()'s order.
+    rhs = []
+    for row in rows:
+        total = fns[0](row.alphas[0])
+        for value in row.alphas[1:]:
+            total = total + value
+        rhs.append(total)
+
+    band = ((up[n], energy[n + 1], rhs[n]) for n in range(dim - 1))
+    entries = [_band_residual("H.raising", band, tol)]
+    power = [1] * dim  # power[n] is raising^(i-1) at (n+i-1, n), from i = 1
+    for i in range(2, spec.k + 1):
+        power = [p * up[n] for n, p in enumerate(power[1:])]
+        f = fns[i - 1]
+        band = ((p, rows[n + i - 1].alphas[i - 1], f(energy[n])) for n, p in enumerate(power))
+        entries.append(_band_residual(f"J{i}.raising^{i - 1}", band, tol))
+    band = []
+    for n in range(dim - 1):
+        raised = squares[n - 1] if n else 0  # (raising.lowering)[n, n]
+        band.append((1, squares[n] - raised, rhs[n] - energy[n], squares[n], raised, rhs[n], energy[n]))
+    entries.append(_band_residual("[lowering,raising]", band, tol))
+    entries += [RelationResidual(label, 0.0, True) for label in ("[H,Ji]", "[Ji,Jj]")]
     return VerificationReport(tuple(entries), tol)

@@ -2,10 +2,13 @@
 
 The spectrum oracle is written out longhand in TestSpectrumOracle: the three
 coupled recursions iterated with plain Fractions, no library calls. Library
-results must match it entry for entry before anything else is trusted.
+results must match it entry for entry before anything else is trusted. The
+relation oracle, dense_residuals, multiplies the dense float64 matrices of a
+truncation and must agree with the band residuals of verify_relations.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -19,11 +22,12 @@ from kbonacci import (
     ExpressionFunction,
     GHASpec,
     NonUnitaryRepresentationError,
+    SpectrumRow,
+    TruncatedOps,
     TruncationTooSmallError,
     extend_seeds,
     iterate_sequence,
     linear_functions,
-    physicality_report,
     spectrum,
     truncated_operators,
     verify_relations,
@@ -192,15 +196,15 @@ class TestNonlinear:
 
 class TestPhysicality:
     def test_all_clear(self):
-        rep = physicality_report(spectrum(linear_spec((1, 1), (1, 0)), 8))
-        assert rep.physical_energy and rep.unitary and rep.nondecreasing
-        assert rep.first_negative_energy is None
+        table = spectrum(linear_spec((1, 1), (1, 0)), 8)
+        assert table.physical_energy and table.unitary and table.nondecreasing
+        assert table.first_negative_energy is None
 
     def test_negative_energy_located(self):
-        rep = physicality_report(spectrum(linear_spec((-1,), (1,)), 4))
-        assert rep.first_negative_energy == 1
-        assert not rep.physical_energy
-        assert rep.first_decrease == 1
+        table = spectrum(linear_spec((-1,), (1,)), 4)
+        assert table.first_negative_energy == 1
+        assert not table.physical_energy
+        assert table.first_decrease == 1
 
     def test_negative_norm_located(self):
         spec = GHASpec(
@@ -208,12 +212,11 @@ class TestPhysicality:
             vacuum=(F(1), F(0)),
         )
         table = spectrum(spec, 3)
-        rep = physicality_report(table)
-        assert rep.first_negative_norm_sq == 1
+        assert table.first_negative_norm_sq == 1
         # energies run 1, 1, 0, -1: decrease at n=2, negative at n=3
         assert [r.alphas[0] for r in table.rows] == [1, 1, 0, -1]
-        assert rep.first_decrease == 2
-        assert rep.first_negative_energy == 3
+        assert table.first_decrease == 2
+        assert table.first_negative_energy == 3
 
 
 class TestTruncatedOps:
@@ -327,3 +330,88 @@ class TestVerify:
         b = truncated_operators(floaty, 6)
         assert np.allclose(a.raising, b.raising, rtol=1e-12, atol=1e-12)
         assert np.allclose(a.hamiltonian, b.hamiltonian, rtol=1e-12, atol=1e-12)
+
+    def test_float_fibonacci_passes_at_large_dim(self):
+        # Round-off in sqrt(N^2)^2 grows with N^2; the relative residual does not.
+        spec = linear_spec((1, 1), (1, 0), "float64")
+        for dim in (80, 400):
+            report = verify_relations(truncated_operators(spec, dim), spec)
+            assert report.all_passed, (dim, [e.residual for e in report.entries])
+
+
+def float_twin(spec):
+    return GHASpec(functions=spec.functions, vacuum=spec.vacuum, arithmetic="float64")
+
+
+def dense_residuals(ops, spec):
+    """Every relation on the dense float64 matrices of ops, by label.
+
+    Each matrix entry's residual is |lhs - rhs| / max(1, largest |term|),
+    the terms being the dense products the relation is made of; the worst
+    entry over the rows and columns unaffected by truncation is reported.
+    """
+    dim, k = ops.dim, spec.k
+    h, ad, a, js = ops.hamiltonian, ops.raising, ops.lowering, ops.j_operators
+    f = [np.diag([float(fn(float(x))) for x in np.diag(h)]) for fn in spec.functions]
+
+    def worst(lhs, rhs, *parts, rows=None, cols=None):
+        scale = np.maximum(1.0, np.max([np.abs(t) for t in (lhs, rhs, *parts)], axis=0))
+        res = (np.abs(lhs - rhs) / scale)[:rows, :cols]
+        return float(res.max()) if res.size else 0.0
+
+    rhs = f[0]
+    for j in js:
+        rhs = rhs + j
+    out = {"H.raising": worst(h @ ad, ad @ rhs, cols=dim - 1)}
+    power = np.eye(dim)
+    for i in range(2, k + 1):
+        power = power @ ad
+        out[f"J{i}.raising^{i - 1}"] = worst(js[i - 2] @ power, power @ f[i - 1], cols=dim - i + 1)
+    out["[lowering,raising]"] = worst(
+        a @ ad - ad @ a, rhs - h, a @ ad, ad @ a, rhs, h, rows=dim - 1, cols=dim - 1
+    )
+    out["[H,Ji]"] = max((worst(h @ j, j @ h) for j in js), default=0.0)
+    out["[Ji,Jj]"] = max(
+        (worst(x @ y, y @ x) for n, x in enumerate(js) for y in js[n + 1 :]), default=0.0
+    )
+    return out
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_band_matches_dense(self, spec):
+        dim = max(spec.k + 2, 9)
+        ops = truncated_operators(spec, dim)
+        report = verify_relations(ops, spec)
+        oracle = dense_residuals(ops, spec)
+        assert [e.label for e in report.entries] == list(oracle)
+        for entry in report.entries:
+            assert entry.residual == 0, entry.label
+            assert oracle[entry.label] <= report.tol, entry.label
+        twin = float_twin(spec)
+        ops = truncated_operators(twin, dim)
+        report = verify_relations(ops, twin)
+        oracle = dense_residuals(ops, twin)
+        assert report.all_passed
+        for entry in report.entries:
+            assert abs(entry.residual - oracle[entry.label]) <= report.tol, entry.label
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_band_sees_what_dense_sees(self, spec):
+        # Bumping one level at a time breaks the relations at exactly the
+        # entries that level enters; both evaluations must find the same
+        # worst entry, so neither may skip or add a column.
+        twin = float_twin(spec)
+        ops = truncated_operators(twin, max(spec.k + 2, 9))
+        rows = ops.table.rows
+        for m, row in enumerate(rows):
+            nsq = row.nsq + 0.25
+            bumped = SpectrumRow(m, tuple(a + 1 / 3 for a in row.alphas), nsq, math.sqrt(nsq))
+            table = replace(ops.table, rows=rows[:m] + (bumped,) + rows[m + 1 :])
+            broken = TruncatedOps(ops.dim, table)
+            report = verify_relations(broken, twin)
+            oracle = dense_residuals(broken, twin)
+            assert not report.all_passed, m
+            for entry in report.entries:
+                want = pytest.approx(oracle[entry.label], rel=1e-12, abs=1e-15)
+                assert entry.residual == want, (m, entry.label)

@@ -95,6 +95,40 @@ class TestSpectrumCommand:
         assert main(["spectrum", path, "--levels", "2"]) == 0
 
 
+FIB_EXACT = {"k": 2, "linear": ["1", "1"], "vacuum": ["1", "0"]}
+FIB_FLOAT = {**FIB_EXACT, "arithmetic": "float64"}
+QUADRATIC = {"k": 1, "functions": ["x^2+1"], "vacuum": ["0"], "arithmetic": "float64"}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+class TestSpectrumOverflow:
+    @pytest.mark.parametrize(
+        "spec,levels,rc",
+        [
+            (FIB_EXACT, 1480, 0),  # N^2 at n=1480 is beyond float64, N is not
+            (FIB_EXACT, 3000, 3),  # N_n itself leaves float64 near n=2950
+            (FIB_FLOAT, 1500, 3),  # alpha_n leaves float64 near n=1475
+            (QUADRATIC, 20, 3),  # x^2 raises OverflowError
+        ],
+    )
+    def test_exit_code_and_strict_json(self, tmp_path, capsys, spec, levels, rc):
+        path = write_spec(tmp_path, spec)
+        assert main(["spectrum", path, "--levels", str(levels), "--format", "json"]) == rc
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        if rc == 0:
+            assert errors == []
+            last = json.loads(out, parse_constant=_reject_constant)["rows"][-1]
+            assert last["n"] == levels
+            assert abs(F(last["norm"]) ** 2 / F(last["nsq"]) - 1) < F(1, 10**15)
+        else:
+            assert out == ""
+            assert len(errors) == 1 and "level n=" in errors[0]
+
+
 class TestSpecFileErrors:
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = write_spec(tmp_path, '{"k": 2,,}')
