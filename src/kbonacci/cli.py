@@ -252,8 +252,9 @@ def _cmd_sequence(args) -> int:
     n = args.n
     if n < 0:
         raise InputError("-n must be >= 0")
-    direct = iterate_sequence(coeffs, seeds, n).values
     method = args.method
+    if method == "direct" or args.check:
+        direct = iterate_sequence(coeffs, seeds, n).values
     if method == "direct":
         values = list(direct)
     elif method == "matrix":

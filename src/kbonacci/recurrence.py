@@ -11,8 +11,11 @@ negative indices follow the convention alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}
 
 Three independent evaluation routes are provided: direct iteration,
 companion-matrix powers (square and multiply), and, for the all-ones
-coefficient case, the Miles multinomial formula. All three are exact over
-fractions.Fraction.
+coefficient case, the Miles multinomial formula. All three are exact and
+return fractions.Fraction values. Iteration and matrix powers share one
+integer path: when every coefficient and seed is integral they run on Python
+ints, which is several times faster than Fraction arithmetic, and convert
+only the results (see _exact.same_arithmetic).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from . import _exact
 from .errors import DomainError, OrderMismatchError
 
 __all__ = [
@@ -122,11 +126,10 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     k = coeffs.k
-    lams = coeffs.values
-    window = list(seeds.extended)  # alpha_{n-k+1}..alpha_n, currently n = 0
-    if len(window) != k:
+    if len(seeds.extended) != k:
         raise OrderMismatchError("seed state extended window length must equal k")
-    values = [window[-1]]
+    lams, window = _exact.same_arithmetic(coeffs.values, seeds.extended)
+    values = [window[-1]]  # window holds alpha_{n-k+1}..alpha_n, currently n = 0
     for _ in range(n_max):
         nxt = lams[0] * window[k - 1]
         for i in range(1, k):
@@ -134,7 +137,7 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
         values.append(nxt)
         del window[0]
         window.append(nxt)
-    return ExactSequence(tuple(values), coeffs, seeds)
+    return ExactSequence(_exact.fractions(values), coeffs, seeds)
 
 
 def companion_rows(coeffs: CoefficientVector) -> tuple[tuple[Fraction, ...], ...]:
@@ -148,17 +151,6 @@ def companion_rows(coeffs: CoefficientVector) -> tuple[tuple[Fraction, ...], ...
     return tuple(rows)
 
 
-def _mat_mul(a, b, k):
-    return [
-        [sum(a[r][m] * b[m][c] for m in range(k)) for c in range(k)]
-        for r in range(k)
-    ]
-
-
-def _mat_vec(a, v, k):
-    return [sum(a[r][m] * v[m] for m in range(k)) for r in range(k)]
-
-
 def matrix_power_sequence(coeffs: CoefficientVector, seeds: SeedState, n: int) -> tuple[Fraction, ...]:
     """Return T^n applied to the extended seed window, T the companion matrix.
 
@@ -169,31 +161,10 @@ def matrix_power_sequence(coeffs: CoefficientVector, seeds: SeedState, n: int) -
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    k = coeffs.k
-    rows = companion_rows(coeffs)
-    vec = list(seeds.extended)
-    if len(vec) != k:
+    if len(seeds.extended) != coeffs.k:
         raise OrderMismatchError("seed state extended window length must equal k")
-    integral = all(x.denominator == 1 for row in rows for x in row) and all(
-        x.denominator == 1 for x in vec
-    )
-    if integral:
-        rows = [[x.numerator for x in row] for row in rows]
-        vec = [x.numerator for x in vec]
-        one, zero = 1, 0
-    else:
-        one, zero = Fraction(1), Fraction(0)
-    result = [[one if r == c else zero for c in range(k)] for r in range(k)]
-    base = rows
-    e = n
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base, k)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base, k)
-    out = _mat_vec(result, vec, k)
-    return tuple(Fraction(x) for x in out)
+    *mat, vec = _exact.same_arithmetic(*companion_rows(coeffs), seeds.extended)
+    return _exact.fractions(_exact.mat_vec(_exact.mat_pow(mat, n), vec))
 
 
 def miles_number(k: int, m: int) -> int:

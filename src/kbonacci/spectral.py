@@ -3,8 +3,9 @@
 The characteristic polynomial of the order-k recurrence is
 x^k - lambda_1 x^{k-1} - ... - lambda_k, built directly from the
 coefficients; matrix_char_poly computes det(xI - M) of an arbitrary square
-rational matrix by cofactor expansion, which gives an independent route for
-cross-checks (companion matrix, mixed-state matrix, abelianizations).
+rational matrix by exact Faddeev-LeVerrier (in _exact, with the other exact
+linear algebra), which gives an independent route for cross-checks
+(companion matrix, mixed-state matrix, abelianizations).
 
 Roots come from a simultaneous Durand-Kerner iteration with deterministic
 seeding; everything downstream (Binet coefficients, ratio limits, dominant
@@ -21,6 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _exact
+from ._exact import matrix_char_poly
 from .errors import (
     ComputationError,
     DominantModeAbsentError,
@@ -94,68 +97,6 @@ class MixedStateMatrix:
 def char_poly(coeffs: CoefficientVector) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial, descending coefficients."""
     return (Fraction(1), *(-v for v in coeffs.values))
-
-
-# Polynomial helpers over ascending rational coefficient lists.
-
-
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    zero = Fraction(0)
-    return [
-        (p[i] if i < len(p) else zero) + (q[i] if i < len(q) else zero) for i in range(n)
-    ]
-
-
-def _poly_neg(p):
-    return [-c for c in p]
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _det_poly(mat: list[list[list[Fraction]]]) -> list[Fraction]:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    acc = [Fraction(0)]
-    for c in range(n):
-        minor = [[mat[r][cc] for cc in range(n) if cc != c] for r in range(1, n)]
-        term = _poly_mul(mat[0][c], _det_poly(minor))
-        acc = _poly_add(acc, term if c % 2 == 0 else _poly_neg(term))
-    return acc
-
-
-def matrix_char_poly(rows: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
-    """det(xI - M) by exact cofactor expansion, descending coefficients.
-
-    Exponential in the matrix size; intended for the small orders this
-    package works at (k <= 6 or so).
-    """
-    n = len(rows)
-    mat = []
-    for r in range(n):
-        if len(rows[r]) != n:
-            raise ValueError("matrix must be square")
-        row = []
-        for c in range(n):
-            entry = Fraction(rows[r][c])
-            if r == c:
-                row.append([-entry, Fraction(1)])
-            else:
-                row.append([-entry])
-        mat.append(row)
-    det = _det_poly(mat)
-    while len(det) < n + 1:
-        det.append(Fraction(0))
-    return tuple(reversed(det))
 
 
 @dataclass(frozen=True)
@@ -374,24 +315,6 @@ class StochasticReport:
     dominant_gap: Optional[float]  # |dominant - 1| when roots were computable
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    # Gaussian elimination with nonzero pivoting, exact over Fraction.
-    n = len(rows)
-    a = [list(map(Fraction, row)) + [Fraction(rhs[r])] for r, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ComputationError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def stochastic_analysis(coeffs: CoefficientVector) -> StochasticReport:
     """Exact stochasticity test plus stationary distribution and dominant root.
 
@@ -411,14 +334,9 @@ def stochastic_analysis(coeffs: CoefficientVector) -> StochasticReport:
         k = coeffs.k
         t_rows = companion_rows(coeffs)
         # (T^t - I) pi = 0 with the last equation replaced by sum(pi) = 1.
-        sys_rows = []
-        for r in range(k):
-            sys_rows.append(
-                [t_rows[c][r] - (Fraction(1) if r == c else Fraction(0)) for c in range(k)]
-            )
-        sys_rows[k - 1] = [Fraction(1)] * k
-        rhs = [Fraction(0)] * (k - 1) + [Fraction(1)]
-        stationary = tuple(_solve_exact(sys_rows, rhs))
+        sys_rows = [[t_rows[c][r] - (r == c) for c in range(k)] for r in range(k - 1)]
+        sys_rows.append([1] * k)
+        stationary = tuple(_exact.solve(sys_rows, [0] * (k - 1) + [1]))
 
     dominant_root = None
     dominant_gap = None

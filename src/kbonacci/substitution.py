@@ -24,6 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import _exact
 from .errors import NonIntegralCoefficientsError, RuleFormatError
 from .recurrence import CoefficientVector
 
@@ -208,14 +209,13 @@ def grow_chain(rule: SubstitutionRule, steps: int, word_cap: int = 10000) -> lis
     if word_cap < 1:
         raise ValueError("word_cap must be >= 1")
     k = len(rule.letters)
-    mat = abelianization(rule).entries
+    # counts(step) = counts(step - 1) . M, i.e. the transpose of M times counts
+    columns = tuple(zip(*abelianization(rule).entries))
     counts = tuple(1 if i == 0 else 0 for i in range(k))
     word: Optional[str] = rule.letters[0] if 1 <= word_cap else None
     states = [ChainState(0, word, counts, 1)]
     for step in range(1, steps + 1):
-        counts = tuple(
-            sum(counts[r] * mat[r][c] for r in range(k)) for c in range(k)
-        )
+        counts = tuple(_exact.mat_vec(columns, counts))
         length = sum(counts)
         if word is not None and length <= word_cap:
             word = "".join(rule.image(ch) for ch in word)

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kbonacci import cli
 from kbonacci.cli import main
 
 SPEC_212 = {
@@ -224,6 +225,23 @@ class TestSequenceCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "max discrepancy vs direct: 0"
 
+    @pytest.mark.parametrize("method", ["matrix", "miles"])
+    def test_direct_iteration_only_when_needed(self, method, monkeypatch, capsys):
+        calls = []
+        real = cli.iterate_sequence
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "iterate_sequence", counting)
+        argv = ["sequence", "--coeffs", "1,1,1", "-n", "12", "--method", method]
+        assert main(argv) == 0
+        assert calls == []
+        assert main([*argv, "--check"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "max discrepancy vs direct: 0"
+
     def test_miles_guard(self, capsys):
         assert main(["sequence", "--coeffs", "2,1,2", "-n", "5", "--method", "miles"]) == 3
         assert "unit coefficients" in capsys.readouterr().err
@@ -410,3 +428,4 @@ class TestArgparseBehavior:
 
     def test_no_args(self, capsys):
         assert main([]) == 1
+

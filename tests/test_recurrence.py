@@ -57,6 +57,8 @@ class TestSequences:
         c, s = fib_setup()
         seq = iterate_sequence(c, s, 10)
         assert seq.values == (1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
+        # integer input runs on ints internally but still returns Fractions
+        assert all(type(v) is F for v in seq.values)
 
     def test_tribonacci_frozen(self):
         c, s = trib_setup()
@@ -131,7 +133,10 @@ class TestMatrixForm:
 
     def test_fibonacci_power(self):
         c, s = fib_setup()
-        assert matrix_power_sequence(c, s, 5) == (5, 8)
+        for n, window in [(0, (0, 1)), (1, (1, 1)), (5, (5, 8))]:
+            result = matrix_power_sequence(c, s, n)
+            assert result == window
+            assert all(type(v) is F for v in result)
 
     def test_k3_power(self):
         c = CoefficientVector((F(2), F(1), F(2)))
