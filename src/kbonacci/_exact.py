@@ -1,11 +1,14 @@
-"""Exact linear algebra shared by the recurrence, spectral and substitution layers.
+"""Exact linear algebra shared by the recurrence, spectral, algebra and
+substitution layers.
 
 Matrices are lists of rows and vectors are lists; entries are Python ints or
 fractions.Fraction. The kernels are written once for both: integer work is
 many times faster than Fraction work (no gcd per operation), so callers
 convert their inputs with same_arithmetic, the one place that chooses, and
 their results back with fractions. matrix_char_poly scales its matrix to
-integers instead, and solve works over Fraction because it divides.
+integers the same way; solve works over Fraction because it divides.
+Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
+14(1)), k^2 products per squaring against k^3 for a matrix product.
 """
 
 from __future__ import annotations
@@ -16,17 +19,23 @@ from math import lcm
 from .errors import ComputationError
 
 
-def same_arithmetic(*groups):
-    """Each group of rationals (ints or Fractions) as a list of ints when every
-    entry of every group is integral, else as a list of the entries as given."""
-    if all(x.denominator == 1 for group in groups for x in group):
-        return [[x.numerator for x in group] for group in groups]
-    return [list(group) for group in groups]
+def same_arithmetic(coefficients, *groups):
+    """(d, coefficients, *groups) as lists for a computation linear in the
+    groups' entries: all ints when every coefficient is integral, the group
+    entries scaled by d, the lcm of their denominators (so results are d
+    times the true ones); else d = 1 and every entry as given."""
+    if any(c.denominator != 1 for c in coefficients):
+        return (1, list(coefficients), *map(list, groups))
+    d = lcm(1, *(x.denominator for group in groups for x in group))
+    scaled = ([x.numerator * (d // x.denominator) for x in group] for group in groups)
+    return (d, [c.numerator for c in coefficients], *scaled)
 
 
-def fractions(values) -> tuple[Fraction, ...]:
-    """Results of either arithmetic as a tuple of Fractions, without copying
-    the ones that already are."""
+def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
+    """Results of either arithmetic, divided by d, as a tuple of Fractions,
+    without copying the ones that already are."""
+    if d != 1:
+        return tuple(Fraction(x, d) for x in values)
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
@@ -39,18 +48,41 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_pow(a, e: int):
-    """a**e for a square matrix and e >= 0, by square and multiply."""
-    result = None
-    while e:
-        if e & 1:
-            result = a if result is None else mat_mul(result, a)
-        e >>= 1
-        if e:
-            a = mat_mul(a, a)
-    if result is None:
-        return [[int(r == c) for c in range(len(a))] for r in range(len(a))]
-    return result
+def companion_power(lams, e: int):
+    """Rows of T**e (e >= 0), T the companion matrix of
+    chi(x) = x^k - lams[0] x^(k-1) - ... - lams[k-1]: row i holds the
+    ascending coefficients of x^(e+i) mod chi (Cayley-Hamilton), by square
+    and multiply on polynomials, where multiplying by x is a shift and one
+    reduction."""
+    k = len(lams)
+    low = lams[::-1]  # x^k = sum_j low[j] x^j mod chi
+
+    def times_x(p):
+        top = p[-1]
+        return [top * low[0], *(p[j - 1] + top * low[j] for j in range(1, k))]
+
+    def square(p):
+        q = [0] * (2 * k - 1)
+        for a, x in enumerate(p):
+            q[2 * a] += x * x
+            twice = 2 * x
+            for b in range(a + 1, k):
+                q[a + b] += twice * p[b]
+        for top_at in range(2 * k - 2, k - 1, -1):
+            top = q[top_at]
+            for j in range(k):
+                q[top_at - k + j] += top * low[j]
+        return q[:k]
+
+    p = [1] + [0] * (k - 1)
+    for bit in bin(e)[2:]:
+        p = square(p)
+        if bit == "1":
+            p = times_x(p)
+    rows = [p]
+    for _ in range(k - 1):
+        rows.append(times_x(rows[-1]))
+    return rows
 
 
 def solve(rows, rhs) -> list[Fraction]:
@@ -91,7 +123,7 @@ def matrix_char_poly(rows) -> tuple[Fraction, ...]:
     d = lcm(1, *(x.denominator for row in m for x in row))
     a = [[(x * d).numerator for x in row] for row in m]
     coeffs = [Fraction(1)]
-    p = mat_pow(a, 0)  # P_1 = I
+    p = [[int(r == c) for c in range(n)] for r in range(n)]
     for j in range(1, n + 1):
         ap = mat_mul(a, p)
         c = -sum(ap[i][i] for i in range(n)) // j

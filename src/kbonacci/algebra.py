@@ -14,11 +14,13 @@ second recursion come from the seed convention
 alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}; otherwise the first i-2 rows of
 ladder i hold the vacuum value until the argument index is nonnegative.
 
-Arithmetic is exact (Fraction) when every function is affine with rational
-coefficients, or float64 on request. A truncation to the first dim Fock
-levels keeps the operators as bands: H and the J_i are diagonal and the
-raising operator has one subdiagonal, so each defining relation is checked
-entry by entry on its band, by one routine for both arithmetic modes.
+Arithmetic is exact (Fraction results, computed on ints scaled by the lcm
+of the denominators when the slopes are integral) when every function is
+affine with rational coefficients, or float64 on request. A truncation to
+the first dim Fock levels keeps the operators as bands: H and the J_i are
+diagonal and the raising operator has one subdiagonal, so each defining
+relation is checked entry by entry on its band, by one routine for both
+arithmetic modes.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import _exact
 from .errors import (
     ComputationError,
     ExactModeUnavailableError,
@@ -166,14 +169,13 @@ class SpectrumTable:
         return self.first_decrease is None
 
 
+def _affine(slopes, offsets) -> list[Callable]:
+    return [lambda x, a=a, b=b: a * x + b for a, b in zip(slopes, offsets)]
+
+
 def _evaluators(spec: GHASpec) -> list[Callable]:
     if spec.arithmetic == "exact":
-        fns = []
-        for fn in spec.functions:
-            pair = fn.affine_form()
-            slope, offset = pair
-            fns.append(lambda x, a=slope, b=offset: a * x + b)
-        return fns
+        return _affine(*zip(*(fn.affine_form() for fn in spec.functions)))
     out = []
     for fn in spec.functions:
         pair = fn.affine_form()
@@ -224,19 +226,19 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         raise ValueError("n_max must be >= 0")
     k = spec.k
     exact = spec.arithmetic == "exact"
-    fns = _evaluators(spec)
-    if exact:
-        vacuum = list(spec.vacuum)
-    else:
-        vacuum = [float(v) for v in spec.vacuum]
-
     slopes = _linear_slopes(spec)
-    energies = {}  # alpha_n^(1) by level n
-    if slopes is not None:
-        # Seed convention: alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}.
-        for m in range(1, k):
-            value = Fraction(spec.vacuum[m]) / slopes[m]
-            energies[-m] = value if exact else float(value)
+    # Seed convention: alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}, m = 1..k-1.
+    below = [] if slopes is None else [spec.vacuum[m] / slopes[m] for m in range(1, k)]
+    if exact:
+        # With integral slopes the loop runs on ints, every value d times the true one.
+        slope, offset = zip(*(fn.affine_form() for fn in spec.functions))
+        d, slope, offset, vacuum, below = _exact.same_arithmetic(slope, offset, spec.vacuum, below)
+        fns = _affine(slope, offset)
+    else:
+        d, fns = 1, _evaluators(spec)
+        vacuum = [float(v) for v in spec.vacuum]
+        below = [float(v) for v in below]
+    energies = {-m: value for m, value in enumerate(below, start=1)}  # alpha_n^(1) by level n
 
     rows = []
     nsq = None
@@ -246,7 +248,6 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
             if n == 0:
                 alphas = tuple(vacuum)
             else:
-                prev = rows[-1].alphas
                 energy = fns[0](prev[0])
                 for value in prev[1:]:
                     energy = energy + value
@@ -268,13 +269,15 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
             first_negative_energy = n
         if n and alphas[0] < energies[n - 1] and first_decrease is None:
             first_decrease = n
+        row = _exact.fractions((*alphas, nsq), d) if exact else (*alphas, nsq)
         if nsq < 0:
             norm = None
             if first_negative_norm_sq is None:
                 first_negative_norm_sq = n
         else:
-            norm = _exact_norm(nsq, n) if exact else math.sqrt(nsq)
-        rows.append(SpectrumRow(n, alphas, nsq, norm))
+            norm = _exact_norm(row[-1], n) if exact else math.sqrt(nsq)
+        rows.append(SpectrumRow(n, row[:-1], row[-1], norm))
+        prev = alphas
     return SpectrumTable(tuple(rows), first_negative_energy, first_negative_norm_sq, first_decrease)
 
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import algebra, spectral, substitution
 from .errors import (
     ComputationError,
+    FloatRangeError,
     InputError,
     KbonacciError,
     NonUnitaryRepresentationError,
@@ -29,7 +30,7 @@ from .recurrence import (
     extend_seeds,
     energy_from_miles,
     iterate_sequence,
-    matrix_power_sequence,
+    matrix_sequence,
 )
 
 FORMATS = ("table", "csv", "json")
@@ -72,8 +73,6 @@ def _seed_state(coeffs: CoefficientVector, text: str | None):
 def _scalar_text(x) -> str:
     if x is None:
         return "-"
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
@@ -258,7 +257,7 @@ def _cmd_sequence(args) -> int:
     if method == "direct":
         values = list(direct)
     elif method == "matrix":
-        values = [matrix_power_sequence(coeffs, seeds, m)[-1] for m in range(n + 1)]
+        values = list(matrix_sequence(coeffs, seeds, n).values)
     elif method == "miles":
         unit = all(v == 1 for v in coeffs.values)
         unit_seed = seeds.alpha0 == 1 and all(h == 0 for h in seeds.higher)
@@ -278,16 +277,16 @@ def _cmd_sequence(args) -> int:
         raise InputError(f"unknown method {method!r}")
 
     check = None
-    if args.check:
-        if method == "binet":
-            worst = 0.0
-            for b, d in zip(values, direct):
-                ref = abs(float(d))
-                worst = max(worst, abs(b - float(d)) / max(1.0, ref))
-            check = worst
-        else:
-            worst = max((abs(v - d) for v, d in zip(values, direct)), default=Fraction(0))
-            check = worst
+    if args.check and method == "binet":
+        check = 0.0
+        for m, (b, d) in enumerate(zip(values, direct)):
+            try:
+                ref = float(d)
+            except OverflowError:
+                raise FloatRangeError("direct value", m) from None
+            check = max(check, abs(b - ref) / max(1.0, abs(ref)))
+    elif args.check:
+        check = max((abs(v - d) for v, d in zip(values, direct)), default=Fraction(0))
 
     if args.format == "json":
         payload = {
@@ -498,11 +497,8 @@ class _ArgumentParser(argparse.ArgumentParser):
     # Usage problems are input errors: exit 1, not argparse's default 2.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self._input_error(message))
-
-    def _input_error(self, message) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _add_format(p) -> None:
@@ -594,18 +590,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 0
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NonUnitaryRepresentationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, KbonacciError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, NonUnitaryRepresentationError):
+            return 2
+        return 3 if isinstance(exc, ComputationError) else 1
 
 
 if __name__ == "__main__":

@@ -105,6 +105,14 @@ class ImaginaryResidueError(ComputationError):
         self.limit = limit
 
 
+class FloatRangeError(ComputationError):
+    """A float64 value at index n overflowed or is not finite."""
+
+    def __init__(self, what: str, n: int):
+        super().__init__(f"{what} at n={n} is beyond the float64 range")
+        self.n = n
+
+
 class DominantModeAbsentError(ComputationError):
     """Seeds annihilate the dominant mode, so no ratio limit exists."""
 

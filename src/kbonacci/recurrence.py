@@ -10,12 +10,13 @@ and k-1 higher ladder values (alpha_0^(2), ..., alpha_0^(k)); the values at
 negative indices follow the convention alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}.
 
 Three independent evaluation routes are provided: direct iteration,
-companion-matrix powers (square and multiply), and, for the all-ones
+companion-matrix powers T^n, taken as x^n modulo the characteristic
+polynomial (Fiduccia 1985, SIAM J. Comput. 14(1)), and, for the all-ones
 coefficient case, the Miles multinomial formula. All three are exact and
-return fractions.Fraction values. Iteration and matrix powers share one
-integer path: when every coefficient and seed is integral they run on Python
-ints, which is several times faster than Fraction arithmetic, and convert
-only the results (see _exact.same_arithmetic).
+return fractions.Fraction values. Iteration and companion powers share one
+integer path: with integral coefficients they run on Python ints, several
+times faster than Fraction arithmetic, the seeds scaled by the lcm of their
+denominators (see _exact.same_arithmetic).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "iterate_sequence",
     "companion_rows",
     "matrix_power_sequence",
+    "matrix_sequence",
     "miles_number",
     "energy_from_miles",
 ]
@@ -118,17 +120,21 @@ class ExactSequence:
     seeds: SeedState
 
 
+def _inputs(coeffs: CoefficientVector, seeds: SeedState, n: int, name: str):
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0")
+    if len(seeds.extended) != coeffs.k:
+        raise OrderMismatchError("seed state extended window length must equal k")
+    return _exact.same_arithmetic(coeffs.values, seeds.extended)
+
+
 def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> ExactSequence:
     """Evaluate alpha_0..alpha_{n_max} by direct iteration.
 
-    Exact over Fraction. n_max must be >= 0.
+    Exact, with Fraction results. n_max must be >= 0.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    d, lams, window = _inputs(coeffs, seeds, n_max, "n_max")
     k = coeffs.k
-    if len(seeds.extended) != k:
-        raise OrderMismatchError("seed state extended window length must equal k")
-    lams, window = _exact.same_arithmetic(coeffs.values, seeds.extended)
     values = [window[-1]]  # window holds alpha_{n-k+1}..alpha_n, currently n = 0
     for _ in range(n_max):
         nxt = lams[0] * window[k - 1]
@@ -137,7 +143,7 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
         values.append(nxt)
         del window[0]
         window.append(nxt)
-    return ExactSequence(_exact.fractions(values), coeffs, seeds)
+    return ExactSequence(_exact.fractions(values, d), coeffs, seeds)
 
 
 def companion_rows(coeffs: CoefficientVector) -> tuple[tuple[Fraction, ...], ...]:
@@ -155,16 +161,25 @@ def matrix_power_sequence(coeffs: CoefficientVector, seeds: SeedState, n: int) -
     """Return T^n applied to the extended seed window, T the companion matrix.
 
     The result is (alpha_{n-k+1}, ..., alpha_n); its last component equals
-    iterate_sequence(coeffs, seeds, n).values[n]. The power is computed by
-    square and multiply over exact scalars. Integer inputs take an integer
-    fast path; results are always Fractions.
+    iterate_sequence(coeffs, seeds, n).values[n]. The rows of T^n are
+    x^n, ..., x^(n+k-1) modulo the characteristic polynomial, by square and
+    multiply on polynomials (Fiduccia 1985); results are always Fractions.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(seeds.extended) != coeffs.k:
-        raise OrderMismatchError("seed state extended window length must equal k")
-    *mat, vec = _exact.same_arithmetic(*companion_rows(coeffs), seeds.extended)
-    return _exact.fractions(_exact.mat_vec(_exact.mat_pow(mat, n), vec))
+    d, lams, window = _inputs(coeffs, seeds, n, "n")
+    return _exact.fractions(_exact.mat_vec(_exact.companion_power(lams, n), window), d)
+
+
+def matrix_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> ExactSequence:
+    """alpha_0..alpha_{n_max} as matrix_power_sequence(coeffs, seeds, m)[-1]
+    in one pass: one power T^k, then the disjoint windows
+    w_{(j+1)k} = T^k w_{jk} from the seed window w_0, O(n_max * k) products."""
+    d, lams, window = _inputs(coeffs, seeds, n_max, "n_max")
+    step = _exact.companion_power(lams, coeffs.k)
+    values = window[-1:]
+    while len(values) <= n_max:
+        window = _exact.mat_vec(step, window)
+        values += window
+    return ExactSequence(_exact.fractions(values[: n_max + 1], d), coeffs, seeds)
 
 
 def miles_number(k: int, m: int) -> int:

@@ -27,6 +27,7 @@ from ._exact import matrix_char_poly
 from .errors import (
     ComputationError,
     DominantModeAbsentError,
+    FloatRangeError,
     ImaginaryResidueError,
     NearRepeatedRootsError,
     NonConvergenceError,
@@ -226,14 +227,18 @@ def binet_eval(
 
     The result of the complex mode sum must be essentially real: the
     imaginary residue is required below imag_limit * max(1, |real part|),
-    else ImaginaryResidueError.
+    else ImaginaryResidueError. FloatRangeError names n when a power or
+    the sum overflows float64.
     """
     k = len(form.coefficients)
     if n < -(k - 1):
         raise ValueError(f"n must be >= -(k-1) = {-(k - 1)}")
-    value = 0j
-    for c, root in zip(form.coefficients, roots.roots):
-        value += c * root**n
+    try:
+        value = sum((c * root**n for c, root in zip(form.coefficients, roots.roots)), 0j)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise FloatRangeError("Binet value", n)
     limit = imag_limit * max(1.0, abs(value.real))
     if abs(value.imag) > limit:
         raise ImaginaryResidueError(value, limit)

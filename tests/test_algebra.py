@@ -14,6 +14,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbonacci import (
     AffineFunction,
@@ -104,6 +105,111 @@ class TestSpectrumOracle:
         for n, row in enumerate(table.rows):
             assert list(row.alphas) == ladders[n]
             assert row.nsq == nsqs[n]
+
+
+def fraction_spectrum(spec, n_max):
+    """The exact spectrum recursion run on Fractions throughout.
+
+    A copy of the library loop from before its integer path: rows as
+    (alphas, nsq, norm) plus the first negative-energy, negative-N^2 and
+    decrease levels. Norms are sqrt(float(nsq)), exact while nsq fits a float.
+    """
+    k = spec.k
+    pairs = [fn.affine_form() for fn in spec.functions]
+    fns = [lambda x, a=a, b=b: a * x + b for a, b in pairs]
+    vacuum = list(spec.vacuum)
+    energies = {}
+    if all(b == 0 and a != 0 for a, b in pairs):
+        for m in range(1, k):
+            energies[-m] = F(vacuum[m]) / pairs[m][0]
+    rows = []
+    nsq = first_energy = first_nsq = first_decrease = None
+    for n in range(n_max + 1):
+        if n == 0:
+            alphas = tuple(vacuum)
+        else:
+            prev = rows[-1][0]
+            energy = fns[0](prev[0])
+            for value in prev[1:]:
+                energy = energy + value
+            alphas = (energy, *(
+                fns[i - 1](energies[n - i + 1]) if n - i + 1 in energies else vacuum[i - 1]
+                for i in range(2, k + 1)
+            ))
+        bracket = fns[0](alphas[0]) - alphas[0]
+        for value in alphas[1:]:
+            bracket = bracket + value
+        nsq = bracket if n == 0 else nsq + bracket
+        energies[n] = alphas[0]
+        if alphas[0] < 0 and first_energy is None:
+            first_energy = n
+        if n and alphas[0] < energies[n - 1] and first_decrease is None:
+            first_decrease = n
+        if nsq < 0 and first_nsq is None:
+            first_nsq = n
+        rows.append((alphas, nsq, None if nsq < 0 else math.sqrt(float(nsq))))
+    return rows, (first_energy, first_nsq, first_decrease)
+
+
+def assert_matches_fraction_oracle(spec, n_max):
+    table = spectrum(spec, n_max)
+    rows, levels = fraction_spectrum(spec, n_max)
+    assert len(table.rows) == len(rows)
+    for row, (alphas, nsq, norm) in zip(table.rows, rows):
+        assert row.alphas == alphas and row.nsq == nsq and row.norm == norm, row.n
+        assert all(type(x) is F for x in (*row.alphas, row.nsq))
+    got = (table.first_negative_energy, table.first_negative_norm_sq, table.first_decrease)
+    assert got == levels
+    return levels
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def affine_spec(draw):
+    """Exact specs on both arithmetic paths: integral slopes (ints scaled by
+    the lcm of the offsets', vacuum's and seed energies' denominators) and
+    fractional slopes (Fractions), each linear or with offsets."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        slope = st.integers(min_value=-3, max_value=3).map(F)
+    else:
+        slope = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    slopes = draw(st.lists(slope, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        offsets = [F(0)] * k
+    else:
+        offsets = draw(st.lists(small, min_size=k, max_size=k))
+    vacuum = draw(st.lists(small, min_size=k, max_size=k))
+    fns = tuple(AffineFunction(a, b) for a, b in zip(slopes, offsets))
+    return GHASpec(functions=fns, vacuum=tuple(vacuum))
+
+
+class TestSpectrumIntegerPath:
+    @settings(deadline=None)
+    @given(affine_spec(), st.integers(min_value=0, max_value=40))
+    def test_matches_fraction_oracle(self, spec, n_max):
+        assert_matches_fraction_oracle(spec, n_max)
+
+    @pytest.mark.parametrize(
+        "slopes,offsets,vacuum,levels",
+        [
+            # integral slopes, rational vacuum; seed energies -1/4 and 2/21
+            ((1, 2, 3), (0, 0, 0), ("1/3", "-1/2", "2/7"), (None, 0, 1)),
+            ((1, 1, 1), (0, 0, 0), ("1/3", "1/2", "2/7"), (None, None, None)),
+            ((1, -1), (0, 0), ("1/3", "0"), (3, 1, 2)),
+            # integral slopes with rational offsets
+            ((-1, 2), ("1/3", "-5/2"), ("1/2", "1"), (2, 1, 2)),
+            ((2, 1), ("1/2", "1/3"), ("1/5", "0"), (None, None, None)),
+            # fractional slopes stay on Fractions
+            (("1/2", "-3/5"), (0, 0), ("1", "1/2"), (2, 1, 2)),
+        ],
+    )
+    def test_first_failure_levels(self, slopes, offsets, vacuum, levels):
+        fns = tuple(AffineFunction(F(a), F(b)) for a, b in zip(slopes, offsets))
+        spec = GHASpec(functions=fns, vacuum=tuple(F(v) for v in vacuum))
+        assert assert_matches_fraction_oracle(spec, 12) == levels
 
 
 class TestSpectrumValues:

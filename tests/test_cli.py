@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kbonacci import cli
+from kbonacci import _exact, cli
 from kbonacci.cli import main
 
 SPEC_212 = {
@@ -241,6 +241,60 @@ class TestSequenceCommand:
         assert main([*argv, "--check"]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "max discrepancy vs direct: 0"
+
+    def test_matrix_takes_one_power(self, monkeypatch, capsys):
+        calls = []
+        real = _exact.companion_power
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(_exact, "companion_power", counting)
+        argv = ["sequence", "--coeffs", "2,1,2", "-n", "40", "--method", "matrix"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert main([*argv, "--check"]) == 0
+        assert len(calls) == 2
+        assert capsys.readouterr().out.splitlines()[-1] == "max discrepancy vs direct: 0"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "coeffs,seeds",
+        [("3", "2"), ("1,1", None), ("2,-1,1/2", "1,1/3,2"), ("1/2,1/3,1/5,1/7", None),
+         ("1,2,1,3,1", "1,0,2,0,1")],
+    )
+    def test_matrix_values_equal_direct(self, coeffs, seeds, fmt, capsys):
+        outputs = {}
+        for method in ("direct", "matrix"):
+            argv = ["sequence", "--coeffs", coeffs, "-n", "37", "--method", method, "--format", fmt]
+            assert main(argv + (["--seeds", seeds] if seeds else [])) == 0
+            outputs[method] = capsys.readouterr().out
+        if fmt == "json":
+            values = {m: json.loads(out)["values"] for m, out in outputs.items()}
+            assert values["matrix"] == values["direct"] and len(values["direct"]) == 38
+        else:
+            assert outputs["matrix"] == outputs["direct"]
+
+    def test_binet_overflow_exits_3(self, capsys):
+        argv = ["sequence", "--coeffs", "1,1", "-n", "1500", "--method", "binet"]
+        for extra in ([], ["--check"], ["--format", "json"]):
+            assert main(argv + extra) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+            assert errors == ["error: Binet value at n=1475 is beyond the float64 range"]
+
+    def test_check_reference_overflow_exits_3(self, monkeypatch, capsys):
+        # A Binet value that stays finite while the exact reference does not fit a float.
+        monkeypatch.setattr(cli.spectral, "binet_eval", lambda form, roots, m: 0.0)
+        argv = ["sequence", "--coeffs", "1,1", "-n", "1500", "--method", "binet", "--check"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: direct value at n=1476 is beyond the float64 range"
+        ]
 
     def test_miles_guard(self, capsys):
         assert main(["sequence", "--coeffs", "2,1,2", "-n", "5", "--method", "miles"]) == 3

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kbonacci import (
     CoefficientVector,
@@ -20,6 +20,7 @@ from kbonacci import (
     extend_seeds,
     iterate_sequence,
     matrix_power_sequence,
+    matrix_sequence,
     miles_number,
 )
 
@@ -194,21 +195,55 @@ rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 nonzero = rationals.filter(lambda q: q != 0)
 
 
+integral = st.integers(min_value=-3, max_value=3).filter(lambda q: q != 0).map(F)
+
+
 @st.composite
-def problem(draw, max_k=6, seed_pool=rationals):
-    k = draw(st.integers(min_value=2, max_value=max_k))
-    coeffs = CoefficientVector(tuple(draw(st.lists(nonzero, min_size=k, max_size=k))))
+def problem(draw, max_k=6, seed_pool=rationals, min_k=2, coeff_pool=nonzero):
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
+    coeffs = CoefficientVector(tuple(draw(st.lists(coeff_pool, min_size=k, max_size=k))))
     alpha0 = draw(seed_pool)
     higher = tuple(draw(st.lists(seed_pool, min_size=k - 1, max_size=k - 1)))
     return coeffs, extend_seeds(coeffs, alpha0, higher)
 
 
 class TestProperties:
-    @given(problem(), st.integers(min_value=0, max_value=60))
+    # Integral coefficient vectors take the integer path (rational seeds
+    # scaled to ints), rational ones the Fraction path; both pools hold
+    # negative entries.
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            problem(max_k=8, min_k=1, coeff_pool=integral),
+            problem(max_k=8, min_k=1),
+        ),
+        st.integers(min_value=0, max_value=400),
+    )
     def test_matrix_equals_iterate(self, setup, n):
         coeffs, seeds = setup
         direct = iterate_sequence(coeffs, seeds, n).values
-        assert matrix_power_sequence(coeffs, seeds, n)[-1] == direct[n]
+        last_window = (seeds.extended[:-1] + direct)[-coeffs.k:]
+        window = matrix_power_sequence(coeffs, seeds, n)
+        assert window == last_window
+        assert all(type(v) is F for v in window)
+        assert matrix_sequence(coeffs, seeds, n).values == direct
+
+    @pytest.mark.parametrize(
+        "lams,seeds,n",
+        [
+            ((3,), (2,), 10_000),
+            ((1, 1), (1, 0), 10_007),
+            ((2, -1, 3), ("1/2", 1, "-2/3"), 10_000),
+            ((1, 1, 1, 1, 1), (2, 1, 0, 1, 1), 12_345),
+        ],
+    )
+    def test_large_integral_powers_match_iterate(self, lams, seeds, n):
+        coeffs = CoefficientVector(tuple(F(v) for v in lams))
+        state = extend_seeds(coeffs, F(seeds[0]), tuple(F(v) for v in seeds[1:]))
+        direct = iterate_sequence(coeffs, state, n).values
+        window = matrix_power_sequence(coeffs, state, n)
+        assert window == direct[-coeffs.k:]
+        assert all(type(v) is F for v in window)
 
     @given(problem(max_k=4), st.fractions(min_value=-2, max_value=2, max_denominator=4))
     def test_linearity(self, setup, scale):

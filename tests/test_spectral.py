@@ -18,6 +18,7 @@ from kbonacci import (
     CompanionMatrix,
     ComputationError,
     DominantModeAbsentError,
+    FloatRangeError,
     ImaginaryResidueError,
     MixedStateMatrix,
     NearRepeatedRootsError,
@@ -201,6 +202,24 @@ class TestBinet:
         form = BinetForm(coefficients=(1.0 + 0j,))
         with pytest.raises(ImaginaryResidueError):
             binet_eval(form, roots, 1)
+
+    def test_overflow_names_n(self):
+        c = coeffs_of(1, 1)
+        roots = find_roots(char_poly(c))
+        form = binet_form(c, vacuum_seeds(c), roots)
+        assert binet_eval(form, roots, 1474) > 1e307
+        with pytest.raises(FloatRangeError) as info:
+            binet_eval(form, roots, 1475)  # phi^1475 overflows the power itself
+        assert isinstance(info.value, ComputationError)
+        assert info.value.n == 1475 and "n=1475" in str(info.value)
+
+    def test_non_finite_sum_names_n(self):
+        # Every power is finite; the product with the mode coefficient is not.
+        roots = RootSet(roots=(1e10 + 0j,), dominant=0, condition=1.0)
+        form = BinetForm(coefficients=(1e300 + 0j,))
+        assert binet_eval(form, roots, 0) == 1e300
+        with pytest.raises(FloatRangeError, match="n=30"):
+            binet_eval(form, roots, 30)
 
     @given(
         st.integers(min_value=2, max_value=4).flatmap(
