@@ -6,7 +6,7 @@ fractions.Fraction. The kernels are written once for both: integer work is
 many times faster than Fraction work (no gcd per operation), so callers
 convert their inputs with same_arithmetic, the one place that chooses, and
 their results back with fractions. matrix_char_poly scales its matrix to
-integers the same way; solve works over Fraction because it divides.
+integers the same way. as_fraction is the one coercion of exact inputs.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
 14(1)), k^2 products per squaring against k^3 for a matrix product.
 """
@@ -16,7 +16,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import ComputationError
+
+def as_fraction(value) -> Fraction:
+    """An exact input as a Fraction; ints and strings like "1/2" are
+    accepted. Floats are refused (TypeError): they are not exact."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("exact coefficients must be int, str, or Fraction, not float")
+    return Fraction(value)
 
 
 def same_arithmetic(coefficients, *groups):
@@ -85,27 +93,6 @@ def companion_power(lams, e: int):
     return rows
 
 
-def solve(rows, rhs) -> list[Fraction]:
-    """x with rows . x = rhs, by Gauss-Jordan elimination over Fraction.
-
-    Raises ComputationError when the system is singular.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[r])] for r, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ComputationError("singular linear system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def matrix_char_poly(rows) -> tuple[Fraction, ...]:
     """det(xI - M) of a square rational matrix, descending coefficients.
 
@@ -114,12 +101,12 @@ def matrix_char_poly(rows) -> tuple[Fraction, ...]:
     P_{j+1} = A P_j + c_j I; A is integral, so every c_j is an integer and
     each division is exact, and the coefficient of x^(n-j) in det(xI - M)
     is c_j / d^j. n matrix products, O(n^4). The 0 x 0 matrix gives (1,).
-    ValueError unless the matrix is square.
+    ValueError unless the matrix is square; TypeError for a float entry.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[as_fraction(x) for x in row] for row in rows]
     d = lcm(1, *(x.denominator for row in m for x in row))
     a = [[(x * d).numerator for x in row] for row in m]
     coeffs = [Fraction(1)]

@@ -26,7 +26,7 @@ arithmetic modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
@@ -67,8 +67,8 @@ class AffineFunction:
     offset: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "slope", _exact.as_fraction(self.slope))
+        object.__setattr__(self, "offset", _exact.as_fraction(self.offset))
 
     def __call__(self, x):
         return self.slope * x + self.offset
@@ -104,12 +104,14 @@ class GHASpec:
 
     arithmetic is "exact" or "float64"; exact mode is permitted only when
     every function is affine with rational coefficients
-    (ExactModeUnavailableError otherwise).
+    (ExactModeUnavailableError otherwise). affine_forms holds each
+    function's affine_form(), computed once at construction.
     """
 
     functions: tuple[FunctionSpec, ...]
     vacuum: tuple[Fraction, ...]
     arithmetic: str = "exact"
+    affine_forms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.functions) < 1:
@@ -119,12 +121,14 @@ class GHASpec:
                 f"vacuum must have {len(self.functions)} entries, got {len(self.vacuum)}"
             )
         object.__setattr__(self, "functions", tuple(self.functions))
-        object.__setattr__(self, "vacuum", tuple(Fraction(v) for v in self.vacuum))
+        object.__setattr__(self, "vacuum", tuple(map(_exact.as_fraction, self.vacuum)))
         if self.arithmetic not in ("exact", "float64"):
             raise ValueError("arithmetic must be 'exact' or 'float64'")
+        forms = tuple(fn.affine_form() for fn in self.functions)
+        object.__setattr__(self, "affine_forms", forms)
         if self.arithmetic == "exact":
-            for i, fn in enumerate(self.functions, start=1):
-                if fn.affine_form() is None:
+            for i, form in enumerate(forms, start=1):
+                if form is None:
                     raise ExactModeUnavailableError(
                         f"level function f_{i} is not affine; use float64 arithmetic"
                     )
@@ -175,26 +179,14 @@ def _affine(slopes, offsets) -> list[Callable]:
 
 def _evaluators(spec: GHASpec) -> list[Callable]:
     if spec.arithmetic == "exact":
-        return _affine(*zip(*(fn.affine_form() for fn in spec.functions)))
+        return _affine(*zip(*spec.affine_forms))
     out = []
-    for fn in spec.functions:
-        pair = fn.affine_form()
-        if pair is not None:
-            a, b = float(pair[0]), float(pair[1])
-            out.append(lambda x, a=a, b=b: a * x + b)
-        else:
+    for fn, pair in zip(spec.functions, spec.affine_forms):
+        if pair is None:
             out.append(lambda x, f=fn: float(f(x)))
+        else:
+            out += _affine([float(pair[0])], [float(pair[1])])
     return out
-
-
-def _linear_slopes(spec: GHASpec) -> Optional[list[Fraction]]:
-    slopes = []
-    for fn in spec.functions:
-        pair = fn.affine_form()
-        if pair is None or pair[1] != 0 or pair[0] == 0:
-            return None
-        slopes.append(pair[0])
-    return slopes
 
 
 def _exact_norm(nsq: Fraction, n: int) -> float:
@@ -226,12 +218,14 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         raise ValueError("n_max must be >= 0")
     k = spec.k
     exact = spec.arithmetic == "exact"
-    slopes = _linear_slopes(spec)
-    # Seed convention: alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}, m = 1..k-1.
-    below = [] if slopes is None else [spec.vacuum[m] / slopes[m] for m in range(1, k)]
+    forms = spec.affine_forms
+    # Seed convention: alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}, m = 1..k-1,
+    # when every f_i is lambda_i * x with lambda_i != 0.
+    linear = all(form is not None and form[0] != 0 and form[1] == 0 for form in forms)
+    below = [spec.vacuum[m] / forms[m][0] for m in range(1, k)] if linear else []
     if exact:
         # With integral slopes the loop runs on ints, every value d times the true one.
-        slope, offset = zip(*(fn.affine_form() for fn in spec.functions))
+        slope, offset = zip(*forms)
         d, slope, offset, vacuum, below = _exact.same_arithmetic(slope, offset, spec.vacuum, below)
         fns = _affine(slope, offset)
     else:

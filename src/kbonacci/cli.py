@@ -36,18 +36,28 @@ from .recurrence import (
 FORMATS = ("table", "csv", "json")
 
 
-def _fraction_arg(text: str, what: str) -> Fraction:
+def _rational(value, where: str, error_cls) -> Fraction:
+    """An int or a string like "1/2" as a Fraction; else error_cls naming where."""
+    if isinstance(value, bool):
+        raise error_cls(f"{where}: expected a rational, got a boolean")
+    if isinstance(value, float):
+        raise error_cls(
+            f"{where}: write rationals as strings like \"1/2\" (raw JSON floats "
+            f"are not exact)"
+        )
+    if not isinstance(value, (int, str)):
+        raise error_cls(f"{where}: expected a rational, got {type(value).__name__}")
     try:
-        return Fraction(text.strip())
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"{what}: cannot parse rational {text!r} ({exc})") from None
+        raise error_cls(f"{where}: cannot parse rational {value!r} ({exc})") from None
 
 
 def _rational_list(text: str, what: str) -> list[Fraction]:
     items = [t for t in text.split(",") if t.strip() != ""]
     if not items:
         raise InputError(f"{what}: expected comma-separated rationals")
-    return [_fraction_arg(t, what) for t in items]
+    return [_rational(t, what, InputError) for t in items]
 
 
 def _coeffs_arg(text: str) -> CoefficientVector:
@@ -113,24 +123,6 @@ def _load_json(path: str) -> dict:
         ) from None
 
 
-def _spec_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise SpecFileError(f"{where}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SpecFileError(f"{where}: cannot parse rational {value!r} ({exc})") from None
-    if isinstance(value, float):
-        raise SpecFileError(
-            f"{where}: write rationals as strings like \"1/2\" (raw JSON floats "
-            f"are not exact)"
-        )
-    raise SpecFileError(f"{where}: expected a rational, got {type(value).__name__}")
-
-
 def _load_algebra_spec(path: str) -> tuple[algebra.GHASpec, int | None, dict]:
     data = _load_json(path)
     if not isinstance(data, dict):
@@ -151,7 +143,7 @@ def _load_algebra_spec(path: str) -> tuple[algebra.GHASpec, int | None, dict]:
             raise SpecFileError(f"field 'linear': must be a list of {k} rationals")
         try:
             functions = tuple(
-                algebra.AffineFunction(_spec_rational(v, f"linear[{i}]"))
+                algebra.AffineFunction(_rational(v, f"linear[{i}]", SpecFileError))
                 for i, v in enumerate(raw)
             )
         except ValueError as exc:
@@ -172,7 +164,7 @@ def _load_algebra_spec(path: str) -> tuple[algebra.GHASpec, int | None, dict]:
     vac_raw = data.get("vacuum")
     if not isinstance(vac_raw, list) or len(vac_raw) != k:
         raise SpecFileError(f"field 'vacuum': must be a list of {k} rationals")
-    vacuum = tuple(_spec_rational(v, f"vacuum[{i}]") for i, v in enumerate(vac_raw))
+    vacuum = tuple(_rational(v, f"vacuum[{i}]", SpecFileError) for i, v in enumerate(vac_raw))
     arithmetic = data.get("arithmetic", "exact")
     if arithmetic not in ("exact", "float64"):
         raise SpecFileError("field 'arithmetic': must be \"exact\" or \"float64\"")

@@ -42,15 +42,6 @@ __all__ = [
 ]
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        # Floats are rejected: exact inputs must arrive as int/str/Fraction.
-        raise TypeError("exact coefficients must be int, str, or Fraction, not float")
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class CoefficientVector:
     """Recurrence coefficients (lambda_1, ..., lambda_k), all nonzero.
@@ -62,7 +53,7 @@ class CoefficientVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(_fraction(v) for v in self.values)
+        vals = tuple(_exact.as_fraction(v) for v in self.values)
         if len(vals) < 1:
             raise ValueError("recurrence order k must be at least 1")
         if any(v == 0 for v in vals):
@@ -97,8 +88,8 @@ def extend_seeds(coeffs: CoefficientVector, alpha0, higher) -> SeedState:
     alpha_{-m} = alpha_0^(m+1) / lambda_{m+1} for m = 1..k-1, which is well
     defined because coefficients are nonzero.
     """
-    alpha0 = _fraction(alpha0)
-    higher_t = tuple(_fraction(h) for h in higher)
+    alpha0 = _exact.as_fraction(alpha0)
+    higher_t = tuple(_exact.as_fraction(h) for h in higher)
     if len(higher_t) != coeffs.k - 1:
         raise OrderMismatchError(
             f"expected {coeffs.k - 1} higher seed values for order k={coeffs.k}, "

@@ -18,11 +18,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _exact
 from ._exact import matrix_char_poly
 from .errors import (
     ComputationError,
@@ -54,6 +54,11 @@ __all__ = [
 # Roots closer than this factor times the iteration tolerance are treated as
 # repeated and refuse a Binet form.
 REPEATED_ROOT_FACTOR = 1e3
+# binet_form refuses root sets separated by less than the default iteration
+# tolerance times that factor.
+BINET_MIN_SEPARATION = REPEATED_ROOT_FACTOR * 1e-13
+# binet_eval's bound on the imaginary residue, relative to max(1, |value|).
+IMAG_RESIDUE_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -188,23 +193,18 @@ class BinetForm:
     coefficients: tuple[complex, ...]
 
 
-def binet_form(
-    coeffs: CoefficientVector,
-    seeds: SeedState,
-    roots: RootSet,
-    threshold: float = REPEATED_ROOT_FACTOR * 1e-13,
-) -> BinetForm:
+def binet_form(coeffs: CoefficientVector, seeds: SeedState, roots: RootSet) -> BinetForm:
     """Solve for the mode coefficients from the extended seed window.
 
     The k x k Vandermonde-type system matches alpha_n at n = -(k-1)..0.
-    Refuses root sets whose minimal separation is below threshold.
+    Refuses root sets whose minimal separation is below BINET_MIN_SEPARATION.
     """
     k = coeffs.k
     if len(roots.roots) != k:
         raise ValueError("root count must equal the recurrence order")
-    if roots.condition < threshold:
+    if roots.condition < BINET_MIN_SEPARATION:
         raise RepeatedRootsError(
-            f"minimal root separation {roots.condition:.3e} below {threshold:.3e}"
+            f"minimal root separation {roots.condition:.3e} below {BINET_MIN_SEPARATION:.3e}"
         )
     a = np.zeros((k, k), dtype=complex)
     b = np.zeros(k, dtype=complex)
@@ -217,16 +217,11 @@ def binet_form(
     return BinetForm(tuple(complex(c) for c in sol))
 
 
-def binet_eval(
-    form: BinetForm,
-    roots: RootSet,
-    n: int,
-    imag_limit: float = 1e-8,
-) -> float:
+def binet_eval(form: BinetForm, roots: RootSet, n: int) -> float:
     """Evaluate the Binet form at level n (n >= -(k-1)).
 
     The result of the complex mode sum must be essentially real: the
-    imaginary residue is required below imag_limit * max(1, |real part|),
+    imaginary residue is required below IMAG_RESIDUE_LIMIT * max(1, |real part|),
     else ImaginaryResidueError. FloatRangeError names n when a power or
     the sum overflows float64.
     """
@@ -239,7 +234,7 @@ def binet_eval(
         value = math.inf
     if not cmath.isfinite(value):
         raise FloatRangeError("Binet value", n)
-    limit = imag_limit * max(1.0, abs(value.real))
+    limit = IMAG_RESIDUE_LIMIT * max(1.0, abs(value.real))
     if abs(value.imag) > limit:
         raise ImaginaryResidueError(value, limit)
     return value.real
@@ -310,7 +305,7 @@ def ratio_limit_check(
 
 @dataclass(frozen=True)
 class StochasticReport:
-    """Result of the exact stochasticity test and stationary-state solve."""
+    """Result of the exact stochasticity test and the stationary state."""
 
     is_stochastic: bool
     nonnegative: bool
@@ -325,9 +320,11 @@ def stochastic_analysis(coeffs: CoefficientVector) -> StochasticReport:
 
     The coefficient vector is a probability row iff every lambda_i >= 0 and
     they sum to exactly 1 (exact rational test). In that case the companion
-    matrix is row-stochastic and irreducible (lambda_k > 0), so the
-    stationary pi with pi T = pi, sum(pi) = 1 is solved exactly; the
-    dominant root is reported for confirmation against 1.
+    matrix T is row-stochastic and irreducible (lambda_k > 0), and pi T = pi
+    reads pi_0 = lambda_k pi_{k-1}, pi_c = pi_{c-1} + lambda_{k-c} pi_{k-1}:
+    pi_c is the tail sum lambda_k + ... + lambda_{k-c} divided by the mean
+    sum_i i lambda_i, which is the sum of the tail sums, so sum(pi) = 1.
+    The dominant root is reported for confirmation against 1.
     """
     lams = coeffs.values
     nonnegative = all(v >= 0 for v in lams)
@@ -336,12 +333,9 @@ def stochastic_analysis(coeffs: CoefficientVector) -> StochasticReport:
 
     stationary = None
     if is_stochastic:
-        k = coeffs.k
-        t_rows = companion_rows(coeffs)
-        # (T^t - I) pi = 0 with the last equation replaced by sum(pi) = 1.
-        sys_rows = [[t_rows[c][r] - (r == c) for c in range(k)] for r in range(k - 1)]
-        sys_rows.append([1] * k)
-        stationary = tuple(_exact.solve(sys_rows, [0] * (k - 1) + [1]))
+        tails = list(accumulate(reversed(lams)))
+        mean = sum(tails)
+        stationary = tuple(t / mean for t in tails)
 
     dominant_root = None
     dominant_gap = None

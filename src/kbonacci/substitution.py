@@ -27,6 +27,7 @@ import numpy as np
 from . import _exact
 from .errors import NonIntegralCoefficientsError, RuleFormatError
 from .recurrence import CoefficientVector
+from .spectral import MixedStateMatrix
 
 __all__ = [
     "RuleSpec",
@@ -228,25 +229,22 @@ def grow_chain(rule: SubstitutionRule, steps: int, word_cap: int = 10000) -> lis
 def rule_coefficients(rule: SubstitutionRule) -> tuple[int, ...]:
     """Recover (lambda_1..lambda_k) from a rule in the canonical shape.
 
-    Validates the abelianization pattern: first row (lambda_1, 1, ..., 1),
-    second row (lambda_2, 0, ..., 0), row i >= 3 a single quotient entry at
-    column i-1. ValueError when the rule is not of that shape.
+    lambda_1 and lambda_2 are the first column of the abelianization and
+    lambda_i = q_i * lambda_{i-1} for i >= 3, q_i read from row i, column
+    i-1. The rule is in the canonical shape when these are naturals and the
+    abelianization equals their MixedStateMatrix: first row
+    (lambda_1, 1, ..., 1), second row (lambda_2, 0, ..., 0), row i >= 3 the
+    single quotient q_i at column i-1. ValueError otherwise.
     """
     mat = abelianization(rule).entries
-    k = len(rule.letters)
-    if k == 1:
-        return (mat[0][0],)
-    ok = all(mat[0][c] == 1 for c in range(1, k))
-    ok = ok and all(mat[1][c] == 0 for c in range(1, k)) and mat[1][0] >= 1
-    lams = [mat[0][0], mat[1][0]]
-    for i in range(3, k + 1):
-        row = mat[i - 1]
-        q = row[i - 2]
-        ok = ok and q >= 1 and all(row[c] == 0 for c in range(k) if c != i - 2)
-        lams.append(q * lams[-1])
-    if not ok or lams[0] < 1:
-        raise ValueError("rule is not in the canonical shape; no growth law")
-    return tuple(lams)
+    lams = [row[0] for row in mat[:2]]
+    for i in range(2, len(mat)):
+        lams.append(mat[i][i - 1] * lams[-1])
+    if min(lams) >= 1:
+        mixed = MixedStateMatrix.from_coefficients(CoefficientVector(tuple(lams)))
+        if mixed.rows == mat:
+            return tuple(lams)
+    raise ValueError("rule is not in the canonical shape; no growth law")
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,22 @@ class TestNonlinear:
                 arithmetic="exact",
             )
 
+    def test_float_coefficients_rejected(self):
+        # floats are not exact: 0.1 would silently become 3602879701896397/2^55
+        with pytest.raises(TypeError):
+            AffineFunction(0.1)
+        with pytest.raises(TypeError):
+            AffineFunction(F(1), 0.1)
+
+    def test_float_vacuum_rejected(self):
+        with pytest.raises(TypeError):
+            GHASpec(functions=(AffineFunction(F(1)),), vacuum=(0.1,))
+
+    def test_affine_forms_stored(self):
+        fns = (ExpressionFunction(parse("2*x + 1/2")), ExpressionFunction(parse("x^2")))
+        spec = GHASpec(functions=fns, vacuum=(F(1), F(0)), arithmetic="float64")
+        assert spec.affine_forms == ((F(2), F(1, 2)), None)
+
     def test_affine_expression_allowed_exact(self):
         spec = GHASpec(
             functions=(ExpressionFunction(parse("2*x + 1/2")),),

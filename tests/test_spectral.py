@@ -35,7 +35,6 @@ from kbonacci import (
     ratio_limit_check,
     stochastic_analysis,
 )
-from kbonacci._exact import solve
 
 PHI = 1.6180339887498949
 
@@ -91,6 +90,11 @@ class TestCharPoly:
     def test_empty_matrix(self):
         # det(xI - M) of the 0 x 0 matrix is the empty determinant, 1
         assert matrix_char_poly(()) == (1,)
+
+    def test_float_entry_rejected(self):
+        # 0.1 is not exactly 1/10; a float entry must not be read as its binary value
+        with pytest.raises(TypeError):
+            matrix_char_poly([[0.1]])
 
 
 def bisect_root(poly_vals, lo, hi, steps=200):
@@ -308,12 +312,8 @@ class TestStochastic:
         assert not rep.nonnegative
         assert rep.sums_to_one
 
-    def test_singular_system_raises(self):
-        with pytest.raises(ComputationError, match="singular"):
-            solve([[1, 2], [F(1, 2), 1]], [1, 1])
-
     @given(
-        st.integers(min_value=1, max_value=4).flatmap(
+        st.integers(min_value=1, max_value=20).flatmap(
             lambda k: st.lists(
                 st.fractions(min_value=F(1, 8), max_value=4, max_denominator=8),
                 min_size=k,

@@ -15,6 +15,7 @@ from kbonacci import (
     CoefficientVector,
     NonIntegralCoefficientsError,
     RuleFormatError,
+    SubstitutionRule,
     abelianization,
     chain_notes,
     char_poly,
@@ -32,6 +33,12 @@ STEP3_WORD = "ABACAABACBBABACABACAABACBBAA"
 
 def coeffs_of(*vals):
     return CoefficientVector(tuple(F(v) for v in vals))
+
+
+# Natural vectors with integral quotients, k = 1..4.
+CANONICAL_VECTORS = [
+    (1,), (3,), (1, 1), (2, 3), (2, 1, 2), (1, 1, 1), (1, 2, 6), (2, 1, 1, 3), (1, 2, 2, 4),
+]
 
 
 def count_formula(k, lambda1):
@@ -142,14 +149,29 @@ class TestAbelianization:
         assert abelianization(other).entries == ((2, 1, 1), (1, 0, 0), (0, 2, 0))
 
     def test_coefficients_recovered(self):
-        for rule in enumerate_rules(coeffs_of(2, 1, 2)):
-            assert rule_coefficients(rule) == (2, 1, 2)
+        for vals in CANONICAL_VECTORS:
+            for rule in enumerate_rules(coeffs_of(*vals)):
+                assert rule_coefficients(rule) == vals
         assert rule_coefficients(parse_rule("A:AB,B:A")) == (1, 1)
         assert rule_coefficients(parse_rule("A:AA")) == (2,)
 
     def test_non_canonical_shape_rejected(self):
         with pytest.raises(ValueError):
             rule_coefficients(parse_rule("A:BB,B:AA"))
+        # Replacing any one letter of a canonical image by another letter
+        # moves a count off the canonical pattern: a second copy or no copy
+        # of a letter in image(A), or a stray letter in a one-letter power.
+        for vals in CANONICAL_VECTORS:
+            for rule in enumerate_rules(coeffs_of(*vals)):
+                for r, word in enumerate(rule.images):
+                    for pos, old in enumerate(word):
+                        for new in rule.letters:
+                            if new == old:
+                                continue
+                            images = list(rule.images)
+                            images[r] = word[:pos] + new + word[pos + 1 :]
+                            with pytest.raises(ValueError, match="canonical shape"):
+                                rule_coefficients(SubstitutionRule(rule.letters, tuple(images)))
 
     def test_char_poly_agrees_with_companion(self):
         for vals in [(1, 1), (2, 1, 2), (1, 1, 1)]:
