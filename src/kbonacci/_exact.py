@@ -9,6 +9,8 @@ their results back with fractions. matrix_char_poly scales its matrix to
 integers the same way. as_fraction is the one coercion of exact inputs.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
 14(1)), k^2 products per squaring against k^3 for a matrix product.
+squarefree decides exactly whether a polynomial has a repeated root, so that
+the float root iteration only ever runs on simple roots.
 """
 
 from __future__ import annotations
@@ -119,3 +121,54 @@ def matrix_char_poly(rows) -> tuple[Fraction, ...]:
         for i in range(n):
             p[i][i] += c
     return tuple(coeffs)
+
+
+# A Mersenne prime: residues fit a 64-bit word and squarefree's modular gcd
+# stays in small-int arithmetic.
+SQUAREFREE_PRIME = (1 << 61) - 1
+
+
+def squarefree(poly) -> bool:
+    """Whether an exact polynomial (descending coefficients, leading one
+    nonzero) has no repeated complex root, i.e. gcd(p, p') is constant.
+
+    The denominators are cleared and the gcd is taken modulo
+    SQUAREFREE_PRIME first, O(n^2) int work. A trivial gcd there proves p
+    squarefree over Q: a nonconstant gcd g over Q can be taken primitive in
+    Z[x] (Gauss), its leading coefficient divides p's, which the prime does
+    not divide, so g mod the prime keeps its degree and divides both
+    residues. Only a nontrivial modular gcd (a repeated root, or the rare
+    prime that divides a resultant) is decided again over Fraction.
+    """
+    q = [as_fraction(c) for c in poly]
+    d = lcm(1, *(c.denominator for c in q))
+    p = [c.numerator * (d // c.denominator) for c in q]
+    n = len(p) - 1
+    dp = [c * (n - i) for i, c in enumerate(p[:-1])]
+    prime = SQUAREFREE_PRIME
+    if p[0] % prime and _gcd_degree([c % prime for c in p], [c % prime for c in dp], prime) == 0:
+        return True
+    return _gcd_degree(list(map(Fraction, p)), list(map(Fraction, dp))) == 0
+
+
+def _gcd_degree(a, b, prime=None) -> int:
+    """Degree of gcd(a, b) by Euclid's algorithm, descending coefficient
+    lists, over GF(prime) (int residues) or over Q (Fractions) when prime
+    is None. The zero polynomial has degree -1."""
+
+    def strip(c):
+        i = 0
+        while i < len(c) and c[i] == 0:
+            i += 1
+        return c[i:]
+
+    a, b = strip(a), strip(b)
+    while b:
+        inv = pow(b[0], -1, prime) if prime else 1 / b[0]
+        r = a
+        while len(r) >= len(b):
+            f = r[0] * inv
+            r = [x - f * y for x, y in zip(r[1:], b[1:])] + r[len(b):]
+            r = strip([x % prime for x in r] if prime else r)
+        a, b = b, r
+    return len(a) - 1

@@ -54,9 +54,9 @@ def _rational(value, where: str, error_cls) -> Fraction:
 
 
 def _rational_list(text: str, what: str) -> list[Fraction]:
-    items = [t for t in text.split(",") if t.strip() != ""]
-    if not items:
-        raise InputError(f"{what}: expected comma-separated rationals")
+    items = text.split(",")
+    if any(t.strip() == "" for t in items):
+        raise InputError(f"{what}: expected comma-separated rationals, got an empty item in {text!r}")
     return [_rational(t, what, InputError) for t in items]
 
 
@@ -532,7 +532,7 @@ def _build_parser() -> _ArgumentParser:
         default="direct",
     )
     p.add_argument("--check", action="store_true", help="compare against direct iteration")
-    p.add_argument("--tol", type=float, default=1e-13, help="root iteration tolerance")
+    p.add_argument("--tol", type=float, default=1e-13, help="relative root iteration tolerance")
     p.add_argument("--max-iter", type=int, default=500, help="root iteration cap")
     _add_format(p)
     p.set_defaults(handler=_cmd_sequence)

@@ -7,9 +7,13 @@ rational matrix by exact Faddeev-LeVerrier (in _exact, with the other exact
 linear algebra), which gives an independent route for cross-checks
 (companion matrix, mixed-state matrix, abelianizations).
 
-Roots come from a simultaneous Durand-Kerner iteration with deterministic
-seeding; everything downstream (Binet coefficients, ratio limits, dominant
-root reports) consumes its RootSet.
+Roots are exact-first: an exact squarefree test (gcd(p, p') modulo a
+61-bit prime, over Fraction only when that is nontrivial) refuses a repeated
+root before any float work, and a simultaneous Aberth-Ehrlich iteration from
+Newton-polygon starting radii finds the simple ones, stopping on a relative
+correction. Everything downstream (Binet coefficients, ratio limits,
+dominant root reports) consumes its RootSet. A probability row needs no
+iteration: its dominant root is exactly 1.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cmp_to_key
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._exact import matrix_char_poly
+from ._exact import matrix_char_poly, squarefree
 from .errors import (
     ComputationError,
     DominantModeAbsentError,
@@ -109,81 +114,184 @@ def char_poly(coeffs: CoefficientVector) -> tuple[Fraction, ...]:
 class RootSet:
     """Roots sorted by descending modulus, then real part, then imaginary part.
 
-    dominant is the index of the maximal-modulus root under that tie-break
-    (always 0 after sorting); condition is the minimal pairwise distance.
+    Two values within tol * max(1, |x|, |y|) of each other (tol that of
+    find_roots) count as equal in that order, so conjugate pairs and roots
+    of equal modulus keep a fixed order whatever noise is in their last
+    bits. dominant is the index of the maximal-modulus root under that
+    tie-break (always 0 after sorting); condition is the minimal pairwise
+    distance. iterations counts the Aberth sweeps and last_correction is
+    the largest relative correction |delta_j| / max(1, |z_j|) of the last
+    sweep (at most tol).
     """
 
     roots: tuple[complex, ...]
     dominant: int
     condition: float
+    iterations: int = 0
+    last_correction: float = 0.0
 
 
-def _horner(coeffs: list[complex], z: complex) -> complex:
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
+# Angle offset of the starting points (Bini 1996), so that no start lies on
+# a symmetry axis of a real polynomial.
+_START_ANGLE = 0.7
+# Hull edges whose slopes differ by less than this are merged, so that no
+# two edges put starting points on circles of (nearly) one radius.
+_HULL_SLOPE_TOL = 1e-3
+
+
+def _starting_points(coeffs: list[complex]) -> list[complex]:
+    """Bini's starting points for a polynomial with nonzero constant term.
+
+    Over the upper convex hull of the points (i, log|a_i|), a_i the
+    coefficient of x^i and zero coefficients skipped, edge number e, from
+    i0 to i1, carries h = i1 - i0 points at angles 2 pi (m / h + e / n) + 0.7
+    on the circle of radius |a_i0 / a_i1|^(1 / h), the root moduli the
+    Newton polygon predicts. The points are pairwise distinct.
+    """
+    n = len(coeffs) - 1
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(reversed(coeffs)):
+        if c == 0:
+            continue
+        pt = (i, math.log(abs(c)))
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) / (x1 - x0) > (pt[1] - y1) / (pt[0] - x1) + _HULL_SLOPE_TOL:
+                break
+            hull.pop()
+        hull.append(pt)
+    z = []
+    for e, ((i0, l0), (i1, l1)) in enumerate(zip(hull, hull[1:])):
+        h = i1 - i0
+        radius = math.exp((l0 - l1) / h)
+        z.extend(
+            cmath.rect(radius, 2.0 * math.pi * (m / h + e / n) + _START_ANGLE)
+            for m in range(h)
+        )
+    return z
+
+
+def _newton_terms(
+    coeffs: list[complex], rev: list[complex], z: complex, reverse_beyond: float
+) -> tuple[complex, complex]:
+    """(u, v) with p(z) / p'(z) = u / v, by Horner in z up to
+    |z| = reverse_beyond and on the reversed polynomial in w = 1/z beyond:
+    p(z) = z^n q(w) and p'(z) = z^(n-1) (n q(w) - w q'(w)), so neither part
+    overflows for a large root. Horner in z is the default because the
+    rounding of w shifts the point of evaluation by up to half an ulp of z."""
+    if abs(z) <= reverse_beyond:
+        p = dp = 0j
+        for c in coeffs:
+            dp = dp * z + p
+            p = p * z + c
+        return p, dp
+    w = 1.0 / z
+    q = dq = 0j
+    for c in rev:
+        dq = dq * w + q
+        q = q * w + c
+    return z * q, (len(coeffs) - 1) * q - w * dq
+
+
+def _root_order(tol: float):
+    """Sort key: descending modulus, real part, imaginary part, each
+    compared up to tol * max(1, |x|, |y|)."""
+
+    def compare(a: complex, b: complex) -> int:
+        for x, y in ((abs(a), abs(b)), (a.real, b.real), (a.imag, b.imag)):
+            if abs(x - y) > tol * max(1.0, abs(x), abs(y)):
+                return -1 if x > y else 1
+        return 0
+
+    return cmp_to_key(compare)
 
 
 def find_roots(poly: Sequence, tol: float = 1e-13, max_iter: int = 500) -> RootSet:
-    """All complex roots of a polynomial by simultaneous Durand-Kerner iteration.
+    """All complex roots of a polynomial: an exact squarefree gate, then a
+    simultaneous Aberth-Ehrlich iteration.
 
-    poly holds descending coefficients, leading coefficient nonzero (it is
-    normalized away). Starting points are spaced on a circle of Cauchy-bound
-    radius, rotated by a fixed irrational angle so no iterate starts on a
-    symmetry axis. Raises NonConvergenceError at the iteration cap (best
-    iterate attached) and NearRepeatedRootsError when the converged roots
-    are closer than REPEATED_ROOT_FACTOR * tol.
+    poly holds descending coefficients, leading coefficient nonzero. When
+    every coefficient is exact (int or Fraction, as char_poly gives), a
+    repeated root is decided before any float work (_exact.squarefree:
+    gcd(p, p') modulo 2^61 - 1, over Fraction only when that is nontrivial)
+    and raises RepeatedRootsError. Zero roots are split off exactly. The
+    iteration (Aberth 1973, Math. Comp. 27; Bini 1996, Numer. Algorithms
+    13) starts from the radii of the Newton polygon and updates each root
+    in turn, Gauss-Seidel style, by
+    delta_j = N_j / (1 - N_j * sum_{m != j} 1 / (z_j - z_m)), with the
+    Newton correction N_j = p(z_j) / p'(z_j) evaluated by Horner. The stop
+    is relative: a root stays put once |delta_j| <= tol * max(1, |z_j|),
+    and the iteration ends when every root has. Raises NonConvergenceError
+    at the iteration cap (best iterate attached) and, as the float
+    backstop for inexact input and squarefree near-repeats,
+    NearRepeatedRootsError when the converged roots are closer than
+    REPEATED_ROOT_FACTOR * tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    coeffs = [complex(c) for c in poly]
-    if not coeffs or coeffs[0] == 0:
+    if not poly or poly[0] == 0:
         raise ValueError("leading coefficient must be nonzero")
-    lead = coeffs[0]
-    coeffs = [c / lead for c in coeffs]
-    degree = len(coeffs) - 1
-    if degree < 1:
+    if len(poly) < 2:
         raise ValueError("polynomial degree must be >= 1")
+    if all(isinstance(c, (int, Fraction)) for c in poly) and not squarefree(poly):
+        raise RepeatedRootsError("the polynomial has a repeated root (gcd(p, p') is not constant)")
+    lead = poly[0]
+    try:
+        coeffs = [complex(c / lead) for c in poly]
+    except OverflowError:
+        raise ComputationError("polynomial coefficients beyond the float64 range") from None
+    zeros = 0
+    while coeffs[-1] == 0:
+        coeffs.pop()
+        zeros += 1
+    rev = coeffs[::-1]
+    # |z|^n stays below 2^512 in Horner on z, leaving headroom for the coefficients
+    reverse_beyond = 2.0 ** (512 / max(1, len(coeffs) - 1))
 
-    radius = 1.0 + max(abs(c) for c in coeffs[1:])
-    angle0 = math.sqrt(2.0)
-    z = [
-        radius * cmath.exp(1j * (2.0 * math.pi * j / degree + angle0))
-        for j in range(degree)
-    ]
-    converged = False
-    for _ in range(max_iter):
-        new = list(z)
+    z = _starting_points(coeffs)
+    active = range(len(z))
+    iterations = 0
+    worst = 0.0
+    while active:
+        if iterations == max_iter:
+            raise NonConvergenceError(max_iter, tuple(z))
+        iterations += 1
+        moving = []
         worst = 0.0
-        for j in range(degree):
-            denom = 1.0 + 0j
-            for m in range(degree):
-                if m != j:
-                    denom *= z[j] - z[m]
-            if denom == 0:
-                denom = complex(tol, tol)
-            delta = _horner(coeffs, z[j]) / denom
-            new[j] = z[j] - delta
-            worst = max(worst, abs(delta))
-        z = new
-        if worst < tol:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(max_iter, tuple(z))
+        for j in active:
+            zj = z[j]
+            u, v = _newton_terms(coeffs, rev, zj, reverse_beyond)
+            if u == 0:
+                continue  # z_j is a root to working precision
+            s = 0j
+            for w in z:
+                if w != zj:
+                    s += 1.0 / (zj - w)
+            den = v - u * s
+            if den == 0:
+                moving.append(j)
+                continue
+            delta = u / den
+            zj -= delta
+            z[j] = zj
+            rel = abs(delta) / max(1.0, abs(zj))
+            if not rel <= tol:  # a NaN keeps iterating into the cap
+                moving.append(j)
+            worst = max(worst, rel)
+        active = moving
+    z.extend([0j] * zeros)
 
-    z.sort(key=lambda w: (-abs(w), -w.real, -w.imag))
+    z.sort(key=_root_order(tol))
     condition = math.inf
-    for i in range(degree):
-        for j in range(i + 1, degree):
+    for i in range(len(z)):
+        for j in range(i + 1, len(z)):
             condition = min(condition, abs(z[i] - z[j]))
     threshold = REPEATED_ROOT_FACTOR * tol
     if condition < threshold:
         raise NearRepeatedRootsError(condition, threshold)
-    return RootSet(tuple(z), 0, condition)
+    return RootSet(tuple(z), 0, condition, iterations, worst)
 
 
 @dataclass(frozen=True)
@@ -324,27 +432,30 @@ def stochastic_analysis(coeffs: CoefficientVector) -> StochasticReport:
     reads pi_0 = lambda_k pi_{k-1}, pi_c = pi_{c-1} + lambda_{k-c} pi_{k-1}:
     pi_c is the tail sum lambda_k + ... + lambda_{k-c} divided by the mean
     sum_i i lambda_i, which is the sum of the tail sums, so sum(pi) = 1.
-    The dominant root is reported for confirmation against 1.
+    The dominant root of a probability row is exactly 1, reported without
+    a root iteration: sum(lambda) = 1 makes 1 a root, p'(1) =
+    sum_i i lambda_i > 0 makes it simple, Perron-Frobenius makes it
+    dominant, and it sorts first among the roots of modulus 1. Any other
+    row gets its dominant root from find_roots, or none when that fails.
     """
     lams = coeffs.values
     nonnegative = all(v >= 0 for v in lams)
     sums_to_one = sum(lams) == 1
     is_stochastic = nonnegative and sums_to_one
 
-    stationary = None
+    stationary = dominant_root = dominant_gap = None
     if is_stochastic:
         tails = list(accumulate(reversed(lams)))
         mean = sum(tails)
         stationary = tuple(t / mean for t in tails)
-
-    dominant_root = None
-    dominant_gap = None
-    try:
-        roots = find_roots(char_poly(coeffs))
-        dominant_root = roots.roots[roots.dominant]
-        dominant_gap = abs(dominant_root - 1.0)
-    except ComputationError:
-        pass
+        dominant_root, dominant_gap = 1 + 0j, 0.0
+    else:
+        try:
+            roots = find_roots(char_poly(coeffs))
+            dominant_root = roots.roots[roots.dominant]
+            dominant_gap = abs(dominant_root - 1.0)
+        except ComputationError:
+            pass
     return StochasticReport(
         is_stochastic=is_stochastic,
         nonnegative=nonnegative,

@@ -336,8 +336,32 @@ class TestEigenCommand:
         assert data["roots"][0]["im"] == pytest.approx(0.0, abs=1e-12)
 
     def test_repeated_roots_exit(self, capsys):
+        # (x - 1)^2 is refused by the exact squarefree test, at any --tol
         assert main(["eigen", "--coeffs", "2,-1", "--tol", "1e-5"]) == 3
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: the polynomial has a repeated root (gcd(p, p') is not constant)"
+        ]
+
+    def test_near_repeated_roots_exit(self, capsys):
+        # (x - 1)^2 - 1e-12 is squarefree; the float guard refuses it at this tol
+        coeffs = "2,-999999999999/1000000000000"
+        assert main(["eigen", "--coeffs", coeffs, "--tol", "1e-5"]) == 3
         assert "near-repeated" in capsys.readouterr().err.lower()
+
+    def test_equal_modulus_roots_in_fixed_order(self, capsys):
+        # x^3 - x^2 + x - 1 = (x - 1)(x^2 + 1): three roots of modulus 1
+        assert main(["eigen", "--coeffs", "1,-1,1", "--format", "json"]) == 0
+        roots = [complex(r["re"], r["im"]) for r in json.loads(capsys.readouterr().out)["roots"]]
+        assert all(abs(r - e) < 1e-15 for r, e in zip(roots, (1, 1j, -1j)))
+
+    @pytest.mark.parametrize("coeffs", ["1,,1", "1,1,"])
+    def test_empty_coefficient_item_exits_1(self, coeffs, capsys):
+        assert main(["eigen", "--coeffs", coeffs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "--coeffs" in errors[0] and "empty item" in errors[0]
 
 
 class TestStochasticCommand:
@@ -346,6 +370,8 @@ class TestStochasticCommand:
         out = capsys.readouterr().out
         assert "stochastic: yes" in out
         assert "(1/3, 2/3)" in out
+        # 1 is the exact dominant root of every probability row
+        assert "dominant root: 1 + 0i (|dominant - 1| = 0)" in out.splitlines()
 
     def test_not_stochastic(self, capsys):
         assert main(["stochastic", "--coeffs", "1,1"]) == 0

@@ -1,17 +1,21 @@
 """Characteristic polynomials, root finding, closed forms, stochastic rows.
 
 Independent oracles used here: sympy's charpoly for determinant polynomials,
-bisection for the k=3 unit-coefficient dominant root, and exact iteration for
+bisection for the k=3 unit-coefficient dominant root, sympy's roots and
+discriminant and mpmath-refined roots for find_roots, and exact iteration for
 every closed-form comparison.
 """
 
 import random
 from fractions import Fraction as F
 
+import mpmath
+import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from kbonacci import spectral
 from kbonacci import (
     BinetForm,
     CoefficientVector,
@@ -156,22 +160,140 @@ class TestRoots:
         assert mods == sorted(mods, reverse=True)
 
     def test_near_repeated_roots_detected(self):
-        # x^2 - 2x + 1 = (x - 1)^2; at this tol the iteration stalls with the
-        # pair separated by well under 1e3*tol, so the guard must fire
+        # x^2 - 2x + (1 - 1e-12) = (x - 1)^2 - 1e-12 is squarefree, so it
+        # passes the exact gate; its roots 1 +- 1e-6 lie well under 1e3*tol
+        # apart, so the float guard must fire
+        c = coeffs_of(2, -(1 - F(1, 10**12)))
         with pytest.raises(NearRepeatedRootsError) as err:
-            find_roots(char_poly(coeffs_of(2, -1)), tol=1e-5)
+            find_roots(char_poly(c), tol=1e-5)
         assert err.value.separation < err.value.threshold == 1e-2
 
-    def test_double_root_accuracy_at_default_tol(self):
-        # a true double root may stall above the guard threshold; the
-        # returned pair must still bracket the root closely
-        roots = find_roots(char_poly(coeffs_of(2, -1)))
-        assert all(abs(r - 1.0) < 1e-6 for r in roots.roots)
+    @pytest.mark.parametrize("vals", [(2, -1), (3, -3, 1)], ids=["double", "triple"])
+    def test_repeated_roots_refused_before_iterating(self, vals, monkeypatch):
+        # (x - 1)^2 and (x - 1)^3: decided exactly, no float iteration runs
+        def no_iteration(*args):
+            raise AssertionError("float iteration ran on a repeated root")
+
+        monkeypatch.setattr(spectral, "_newton_terms", no_iteration)
+        with pytest.raises(RepeatedRootsError, match="repeated root"):
+            find_roots(char_poly(coeffs_of(*vals)))
+
+    def test_widely_separated_roots_converge(self):
+        # x^2 - 1e6 x - 1: roots 1e6 + 1e-6 and -1e-6; an absolute stop
+        # can never be met by the large one (its ulp exceeds 1e-13)
+        roots = find_roots(char_poly(coeffs_of(1000000, 1)))
+        big, small = roots.roots
+        assert abs(big - (500000 + 250000000001**0.5)) <= 1e-13 * 1e6
+        assert abs(small + 1 / big.real) < 1e-19
+        assert roots.iterations <= 10 and roots.last_correction <= 1e-13
+
+    def test_large_roots_without_overflow(self):
+        # x^80 - 1e4 (x^79 + ... + 1): |z|^80 near the dominant root 10001
+        # overflows float64, so p and p' come from the reversed polynomial
+        roots = find_roots(char_poly(coeffs_of(*[10000] * 80)))
+        assert abs(roots.roots[0] - 10001) <= 1e-13 * 10001
+
+    def test_zero_roots_split_off(self):
+        # x^3 - x = x (x - 1)(x + 1); the zero root is exact
+        assert find_roots((1, 0, -1, 0)).roots == (1, -1, 0)
+
+    def test_coefficients_beyond_float_range(self):
+        with pytest.raises(ComputationError, match="float64 range"):
+            find_roots(char_poly(coeffs_of(10**400, 1)))
+
+    def test_float_input_skips_exact_gate(self):
+        # inexact coefficients cannot be decided exactly; the float guard
+        # is their backstop
+        with pytest.raises((NearRepeatedRootsError, NonConvergenceError)):
+            find_roots((1.0, -2.0, 1.0), tol=1e-5)
 
     def test_nonconvergence_reports_iterations(self):
         with pytest.raises(NonConvergenceError) as err:
             find_roots(char_poly(coeffs_of(1, 1, 1)), max_iter=1)
         assert err.value.iterations == 1
+
+    @pytest.mark.parametrize(
+        "poly, expected",
+        [
+            # x^3 - 1: the real root first, then the conjugate pair, +i first
+            ((1, 0, 0, -1), (1, complex(-0.5, 3**0.5 / 2), complex(-0.5, -(3**0.5) / 2))),
+            # x^3 - x^2 + x - 1 = (x - 1)(x^2 + 1), coefficients (1, -1, 1)
+            ((1, -1, 1, -1), (1, 1j, -1j)),
+            # x^4 - 1: descending real part, then imaginary part
+            ((1, 0, 0, 0, -1), (1, 1j, -1j, -1)),
+        ],
+    )
+    def test_equal_modulus_order_is_pinned(self, poly, expected):
+        roots = find_roots(poly).roots
+        assert len(roots) == len(expected)
+        assert all(abs(r - e) < 1e-15 for r, e in zip(roots, expected))
+
+    def test_order_ignores_last_bit_noise(self):
+        # equal moduli and real parts that differ only in their last bits
+        # must not decide the order; the imaginary part does
+        a = complex(0.6, 0.8)
+        b = complex(0.6 * (1 + 2**-52), -0.8)
+        key = spectral._root_order(1e-13)
+        assert sorted([b, a], key=key) == sorted([a, b], key=key) == [a, b]
+
+
+def assert_roots_match(got, refs):
+    """A one-to-one match of got against refs, each root within 1e-13
+    relative (to max(1, |ref|)), find_roots' default tolerance."""
+    nearest = {min(range(len(got)), key=lambda i: abs(got[i] - z)) for z in refs}
+    assert len(nearest) == len(refs) == len(got)
+    for z in refs:
+        assert min(abs(g - z) for g in got) <= 1e-13 * max(1.0, abs(z))
+
+
+def _integer_polys():
+    """Monic integer polynomials of degree <= 8: random coefficients, or
+    products of small integer linear factors (repeats likely) times a
+    random factor."""
+    nonzero = st.integers(min_value=-6, max_value=6).filter(bool)
+    random_poly = st.lists(nonzero, min_size=1, max_size=8).map(lambda c: [1, *c])
+
+    def product(parts):
+        roots, rest = parts
+        poly = [1, *rest]
+        for r in roots:
+            poly = [a - r * b for a, b in zip(poly + [0], [0] + poly)]
+        return poly
+
+    factored = st.tuples(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=5),
+        st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+    ).map(product)
+    return st.one_of(random_poly, factored)
+
+
+@given(_integer_polys())
+@example([1, 3, -8, -27, -9])  # collinear Newton-polygon vertices
+def test_roots_match_sympy(poly):
+    x = sympy.Symbol("x")
+    p = sympy.Poly(poly, x)
+    if sympy.discriminant(p) == 0:
+        with pytest.raises(RepeatedRootsError):
+            find_roots(poly)
+        return
+    assert_roots_match(find_roots(poly).roots, [complex(z) for z in p.nroots(n=30)])
+
+
+def test_all_ones_roots_match_mpmath():
+    # references: numpy's companion eigenvalues refined by Newton's method
+    # in 40-digit mpmath arithmetic, independent of find_roots
+    for k in [*range(2, 21), 24, 32, 40, 48, 64, 80]:
+        coeffs = [1] + [-1] * k
+        refs = []
+        with mpmath.workdps(40):
+            for z0 in np.roots(coeffs):
+                z = mpmath.mpc(complex(z0))
+                for _ in range(4):
+                    p, dp = mpmath.polyval(coeffs, z, derivative=True)
+                    z -= p / dp
+                assert abs(p / dp) < 1e-25
+                refs.append(complex(z))
+        assert_roots_match(find_roots(char_poly(coeffs_of(*[1] * k))).roots, refs)
 
 
 class TestBinet:
@@ -298,6 +420,14 @@ class TestStochastic:
         assert rep.is_stochastic
         assert rep.stationary == (F(1, 3), F(2, 3))
         assert rep.dominant_gap < 1e-12
+
+    def test_dominant_root_exact_without_iteration(self, monkeypatch):
+        def no_roots(*args, **kwargs):
+            raise AssertionError("root iteration ran on a probability row")
+
+        monkeypatch.setattr(spectral, "find_roots", no_roots)
+        rep = stochastic_analysis(coeffs_of(F(1, 7), F(2, 7), F(4, 7)))
+        assert rep.dominant_root == 1 and rep.dominant_gap == 0.0
 
     def test_not_stochastic(self):
         rep = stochastic_analysis(coeffs_of(1, 1))
