@@ -9,6 +9,12 @@ An algebra spec is k level functions (f_1, ..., f_k) plus k vacuum values
                 + sum_{i>=2} alpha_{n+1}^(i)
     N_0^2 = f_1(alpha_0^(1)) - alpha_0^(1) + sum_{i>=2} alpha_0^(i)
 
+By the first recursion each step of the third adds
+alpha_{n+1}^(1) - alpha_n^(1), so the sum telescopes to
+N_n^2 = alpha_{n+1}^(1) - alpha_0^(1): the norms are the energy sequence
+shifted by one level, and spectrum() evaluates each level function once
+per level.
+
 When every level function is purely linear, negative-index arguments of the
 second recursion come from the seed convention
 alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}; otherwise the first i-2 rows of
@@ -17,10 +23,10 @@ ladder i hold the vacuum value until the argument index is nonnegative.
 Arithmetic is exact (Fraction results, computed on ints scaled by the lcm
 of the denominators when the slopes are integral) when every function is
 affine with rational coefficients, or float64 on request. A truncation to
-the first dim Fock levels keeps the operators as bands: H and the J_i are
-diagonal and the raising operator has one subdiagonal, so each defining
-relation is checked entry by entry on its band, by one routine for both
-arithmetic modes.
+the first dim Fock levels is stored as bands only, its spectrum table: H
+and the J_i are diagonal and the raising operator has one subdiagonal, so
+each defining relation is checked entry by entry on its band, by one
+routine for both arithmetic modes.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Union
-
-import numpy as np
 
 from . import _exact
 from .errors import (
@@ -210,9 +214,10 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     """Levels 0..n_max of the Fock spectrum with physicality levels.
 
     Exact mode returns Fractions in alphas and nsq; float64 mode returns
-    floats. norm is always a float square root (None when nsq < 0).
-    ComputationError names the level where a float64 value overflows or is
-    not finite, or where a norm is beyond the float64 range.
+    floats. nsq at level n is alpha_{n+1}^(1) - alpha_0^(1), so level n
+    also computes the next energy; norm is always a float square root (None
+    when nsq < 0). ComputationError names the level where a float64 value
+    overflows or is not finite, or where a norm is beyond the float64 range.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -233,32 +238,26 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         vacuum = [float(v) for v in spec.vacuum]
         below = [float(v) for v in below]
     energies = {-m: value for m, value in enumerate(below, start=1)}  # alpha_n^(1) by level n
+    energies[0] = vacuum[0]
 
     rows = []
-    nsq = None
     first_negative_energy = first_negative_norm_sq = first_decrease = None
     for n in range(n_max + 1):
         try:
-            if n == 0:
-                alphas = tuple(vacuum)
-            else:
-                energy = fns[0](prev[0])
-                for value in prev[1:]:
-                    energy = energy + value
-                # Ladder i holds its vacuum value until alpha_{n-i+1} exists.
-                alphas = (energy, *(
-                    fns[i - 1](energies[n - i + 1]) if n - i + 1 in energies else vacuum[i - 1]
-                    for i in range(2, k + 1)
-                ))
-            bracket = fns[0](alphas[0]) - alphas[0]
+            # Ladder i holds its vacuum value until alpha_{n-i+1} exists, and at n = 0.
+            alphas = (energies[n], *(
+                fns[i - 1](energies[n - i + 1]) if n and n - i + 1 in energies else vacuum[i - 1]
+                for i in range(2, k + 1)
+            ))
+            energy = fns[0](alphas[0])
             for value in alphas[1:]:
-                bracket = bracket + value
-            nsq = bracket if n == 0 else nsq + bracket
+                energy = energy + value
+            nsq = energy - vacuum[0]  # the telescoped third recursion
         except OverflowError:
             raise ComputationError(f"float64 overflow at level n={n}") from None
         if not exact and not all(map(math.isfinite, (*alphas, nsq))):
             raise ComputationError(f"float64 value is not finite at level n={n}")
-        energies[n] = alphas[0]
+        energies[n + 1] = energy
         if alphas[0] < 0 and first_negative_energy is None:
             first_negative_energy = n
         if n and alphas[0] < energies[n - 1] and first_decrease is None:
@@ -271,7 +270,6 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         else:
             norm = _exact_norm(row[-1], n) if exact else math.sqrt(nsq)
         rows.append(SpectrumRow(n, row[:-1], row[-1], norm))
-        prev = alphas
     return SpectrumTable(tuple(rows), first_negative_energy, first_negative_norm_sq, first_decrease)
 
 
@@ -279,48 +277,14 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
 class TruncatedOps:
     """The algebra on the first dim Fock levels, stored as bands.
 
-    table holds levels 0..dim-1 in the spec's arithmetic. hamiltonian and the
-    j_operators are diagonal with the alphas as entries; raising carries N_n
-    on its first subdiagonal and lowering is its transpose. These properties
-    build dense float64 matrices on each access; verify_relations works on
-    the bands directly.
+    table holds levels 0..dim-1 in the spec's arithmetic. H and the J_i are
+    diagonal with the alphas as entries, and the raising operator carries
+    N_n on its first subdiagonal (lowering is its transpose), so table is
+    the whole truncation; verify_relations works on these bands directly.
     """
 
     dim: int
     table: SpectrumTable
-
-    def _diagonal(self, column: int) -> np.ndarray:
-        return np.diag([float(row.alphas[column]) for row in self.table.rows])
-
-    @property
-    def hamiltonian(self) -> np.ndarray:
-        return self._diagonal(0)
-
-    @property
-    def j_operators(self) -> tuple[np.ndarray, ...]:
-        """J_i for i = 2..k."""
-        k = len(self.table.rows[0].alphas)
-        return tuple(self._diagonal(i - 1) for i in range(2, k + 1))
-
-    @property
-    def raising(self) -> np.ndarray:
-        norms = [row.norm for row in self.table.rows[:-1]]
-        return np.diag(np.array(norms, dtype=float), -1)
-
-    @property
-    def lowering(self) -> np.ndarray:
-        return self.raising.T.copy()
-
-    def kappa(self, n: int, i: int) -> float:
-        """Product N_{n-1} * ... * N_{n-i+1} (empty product 1.0 for i = 1)."""
-        if i < 1:
-            raise ValueError("i must be >= 1")
-        if n - i + 1 < 0 or n > self.dim - 1:
-            raise ValueError(f"kappa({n},{i}) needs levels n-i+1..n-1 inside 0..dim-1")
-        out = 1.0
-        for m in range(n - i + 1, n):
-            out *= self.table.rows[m].norm
-        return out
 
 
 def truncated_operators(spec: GHASpec, dim: int) -> TruncatedOps:
@@ -400,8 +364,8 @@ def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> Ve
     scalar recursion residual and is exactly zero when the recursions hold;
     float64 specs weight both by N_n.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     dim = ops.dim
     if dim < spec.k:
         raise TruncationTooSmallError(f"dim {dim} below algebra order k={spec.k}")

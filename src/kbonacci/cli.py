@@ -456,8 +456,9 @@ def _cmd_verify(args) -> int:
     tol = args.tol
     if tol is None:
         tol = tolerances.get("verify", 1e-10)
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-            raise SpecFileError("tolerances['verify']: must be a positive number")
+        # json reads NaN and Infinity as floats, and ints beyond float64
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
+            raise SpecFileError("tolerances['verify']: must be a finite positive number")
     ops = algebra.truncated_operators(spec, args.dim)
     report = algebra.verify_relations(ops, spec, tol=tol)
     if args.format == "json":
@@ -580,6 +581,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    # Exact values print at any size: lift the int-to-str digit limit
+    # (Python 3.10.7+) for this call only, as main may run in-process.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except (ValueError, KbonacciError) as exc:
@@ -587,6 +593,9 @@ def main(argv=None) -> int:
         if isinstance(exc, NonUnitaryRepresentationError):
             return 2
         return 3 if isinstance(exc, ComputationError) else 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

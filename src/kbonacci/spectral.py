@@ -227,8 +227,8 @@ def find_roots(poly: Sequence, tol: float = 1e-13, max_iter: int = 500) -> RootS
     NearRepeatedRootsError when the converged roots are closer than
     REPEATED_ROOT_FACTOR * tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not poly or poly[0] == 0:
@@ -374,8 +374,8 @@ def ratio_limit_check(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     roots = find_roots(char_poly(coeffs))
     dom = roots.roots[roots.dominant]
     if abs(dom.imag) > 1e-9 * max(1.0, abs(dom)) or dom.real <= 0:

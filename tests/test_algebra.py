@@ -2,9 +2,12 @@
 
 The spectrum oracle is written out longhand in TestSpectrumOracle: the three
 coupled recursions iterated with plain Fractions, no library calls. Library
-results must match it entry for entry before anything else is trusted. The
-relation oracle, dense_residuals, multiplies the dense float64 matrices of a
-truncation and must agree with the band residuals of verify_relations.
+results must match it entry for entry before anything else is trusted.
+Both it and fraction_spectrum keep the running N^2 sum of the third
+recursion, independent of the library's telescoped
+N_n^2 = alpha_{n+1} - alpha_0. The relation oracle, dense_residuals, builds
+dense float64 matrices from a truncation's spectrum table, multiplies them,
+and must agree with the band residuals of verify_relations.
 """
 
 import math
@@ -43,6 +46,26 @@ def linear_spec(lams, vacuum, arithmetic="exact"):
         vacuum=tuple(F(v) for v in vacuum),
         arithmetic=arithmetic,
     )
+
+
+EXACT_SPECS = [
+    linear_spec((2,), (3,)),
+    linear_spec((1, 1), (1, 0)),
+    linear_spec((2, 1, 2), (1, 0, 0)),
+    linear_spec((1, 2, 1, 3), (2, 1, 0, 1)),
+    GHASpec(
+        functions=(AffineFunction(F(1), F(1)), AffineFunction(F(2))),
+        vacuum=(F(1), F(0)),
+    ),
+    GHASpec(
+        functions=(AffineFunction(F(1, 2), F(3)), AffineFunction(F(1, 3))),
+        vacuum=(F(2), F(1)),
+    ),
+]
+
+
+def float_twin(spec):
+    return GHASpec(functions=spec.functions, vacuum=spec.vacuum, arithmetic="float64")
 
 
 def oracle_rows(fns, vacuum, n_max):
@@ -251,11 +274,12 @@ class TestSpectrumValues:
         table = spectrum(spec, 12)
         assert tuple(r.alphas[0] for r in table.rows) == vals
 
-    def test_float_mode_tracks_exact(self):
-        exact = spectrum(linear_spec((2, 1, 2), (1, 0, 0)), 10)
-        floaty = spectrum(linear_spec((2, 1, 2), (1, 0, 0), "float64"), 10)
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_float_mode_tracks_exact(self, spec):
+        exact = spectrum(spec, 10)
+        floaty = spectrum(float_twin(spec), 10)
         for re, rf in zip(exact.rows, floaty.rows):
-            assert rf.alphas[0] == pytest.approx(float(re.alphas[0]), rel=1e-12)
+            assert rf.alphas == pytest.approx([float(a) for a in re.alphas], rel=1e-12)
             assert rf.nsq == pytest.approx(float(re.nsq), rel=1e-12)
 
 
@@ -344,30 +368,18 @@ class TestPhysicality:
 class TestTruncatedOps:
     def test_fibonacci_dim4(self):
         ops = truncated_operators(linear_spec((1, 1), (1, 0)), 4)
-        sub = [ops.raising[n + 1, n] for n in range(3)]
-        assert sub == pytest.approx([0.0, 1.0, math.sqrt(2.0)])
-        assert np.allclose(np.diag(ops.hamiltonian), [1, 1, 2, 3])
-        assert np.allclose(np.diag(ops.j_operators[0]), [0, 1, 1, 2])
-        assert np.array_equal(ops.lowering, ops.raising.T)
+        rows = ops.table.rows
+        assert len(rows) == ops.dim == 4
+        # raising carries N_0..N_2 on its subdiagonal
+        assert [r.norm for r in rows[:3]] == pytest.approx([0.0, 1.0, math.sqrt(2.0)])
+        assert [r.alphas[0] for r in rows] == [1, 1, 2, 3]  # H
+        assert [r.alphas[1] for r in rows] == [0, 1, 1, 2]  # J_2
 
     def test_k3_dim3(self):
         ops = truncated_operators(linear_spec((2, 1, 2), (1, 0, 0)), 3)
-        assert [ops.raising[1, 0], ops.raising[2, 1]] == pytest.approx([1.0, 2.0])
-        assert len(ops.j_operators) == 2
-
-    def test_kappa_products(self):
-        ops = truncated_operators(linear_spec((2, 1, 2), (1, 0, 0)), 4)
-        assert ops.kappa(2, 1) == 1.0  # empty product
-        assert ops.kappa(2, 2) == pytest.approx(2.0)  # N_1
-        assert ops.kappa(2, 3) == pytest.approx(2.0)  # N_1 * N_0
-        assert ops.kappa(3, 3) == pytest.approx(math.sqrt(13.0) * 2.0)
-
-    def test_kappa_bounds(self):
-        ops = truncated_operators(linear_spec((1, 1), (1, 0)), 4)
-        with pytest.raises(ValueError):
-            ops.kappa(0, 2)
-        with pytest.raises(ValueError):
-            ops.kappa(9, 1)
+        rows = ops.table.rows
+        assert [r.norm for r in rows[:2]] == pytest.approx([1.0, 2.0])
+        assert all(len(r.alphas) == 3 for r in rows)  # H, J_2, J_3
 
     def test_nonunitary_rejected_with_level(self):
         with pytest.raises(NonUnitaryRepresentationError) as err:
@@ -380,22 +392,6 @@ class TestTruncatedOps:
         with pytest.raises(NonUnitaryRepresentationError) as err:
             truncated_operators(spec, 4)
         assert err.value.level == 1
-
-
-EXACT_SPECS = [
-    linear_spec((2,), (3,)),
-    linear_spec((1, 1), (1, 0)),
-    linear_spec((2, 1, 2), (1, 0, 0)),
-    linear_spec((1, 2, 1, 3), (2, 1, 0, 1)),
-    GHASpec(
-        functions=(AffineFunction(F(1), F(1)), AffineFunction(F(2))),
-        vacuum=(F(1), F(0)),
-    ),
-    GHASpec(
-        functions=(AffineFunction(F(1, 2), F(3)), AffineFunction(F(1, 3))),
-        vacuum=(F(2), F(1)),
-    ),
-]
 
 
 class TestVerify:
@@ -441,17 +437,18 @@ class TestVerify:
 
     def test_dim1_is_vacuum_only(self):
         ops = truncated_operators(linear_spec((2, 1, 2), (1, 0, 0)), 1)
-        assert ops.raising.shape == (1, 1)
-        assert ops.raising[0, 0] == 0.0 and ops.lowering[0, 0] == 0.0
-        assert ops.hamiltonian[0, 0] == 1.0
+        # one level, so the raising and lowering bands are empty
+        (row,) = ops.table.rows
+        assert row.alphas == (1, 0, 0)
 
     def test_float_matches_exact_operators(self):
         exact = linear_spec((2, 1, 2), (1, 0, 0))
         floaty = linear_spec((2, 1, 2), (1, 0, 0), "float64")
-        a = truncated_operators(exact, 6)
-        b = truncated_operators(floaty, 6)
-        assert np.allclose(a.raising, b.raising, rtol=1e-12, atol=1e-12)
-        assert np.allclose(a.hamiltonian, b.hamiltonian, rtol=1e-12, atol=1e-12)
+        a = truncated_operators(exact, 6).table.rows
+        b = truncated_operators(floaty, 6).table.rows
+        assert [r.norm for r in b] == pytest.approx([r.norm for r in a], rel=1e-12, abs=1e-12)
+        energies = [float(r.alphas[0]) for r in a]
+        assert [r.alphas[0] for r in b] == pytest.approx(energies, rel=1e-12, abs=1e-12)
 
     def test_float_fibonacci_passes_at_large_dim(self):
         # Round-off in sqrt(N^2)^2 grows with N^2; the relative residual does not.
@@ -461,8 +458,13 @@ class TestVerify:
             assert report.all_passed, (dim, [e.residual for e in report.entries])
 
 
-def float_twin(spec):
-    return GHASpec(functions=spec.functions, vacuum=spec.vacuum, arithmetic="float64")
+def dense_matrices(ops):
+    """H, raising, lowering and the J_i (i = 2..k) of ops as dense float64."""
+    rows = ops.table.rows
+    diagonals = np.array([[float(a) for a in row.alphas] for row in rows])
+    raising = np.diag(np.array([row.norm for row in rows[:-1]], dtype=float), -1)
+    h, *js = (np.diag(column) for column in diagonals.T)
+    return h, raising, raising.T.copy(), js
 
 
 def dense_residuals(ops, spec):
@@ -473,7 +475,7 @@ def dense_residuals(ops, spec):
     entry over the rows and columns unaffected by truncation is reported.
     """
     dim, k = ops.dim, spec.k
-    h, ad, a, js = ops.hamiltonian, ops.raising, ops.lowering, ops.j_operators
+    h, ad, a, js = dense_matrices(ops)
     f = [np.diag([float(fn(float(x))) for x in np.diag(h)]) for fn in spec.functions]
 
     def worst(lhs, rhs, *parts, rows=None, cols=None):

@@ -5,15 +5,19 @@ capsys. Exit codes: 0 ok, 1 input problem, 2 physicality/unitarity failure,
 3 numerical failure.
 """
 
+import collections
+import contextlib
 import csv
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from kbonacci import _exact, cli
 from kbonacci.cli import main
+from kbonacci.recurrence import CoefficientVector, extend_seeds, iterate_sequence
 
 SPEC_212 = {
     "k": 3,
@@ -493,6 +497,88 @@ class TestVerifyCommand:
             "[Ji,Jj]",
         }
         assert all(e["residual"] == 0 for e in data["relations"])
+
+
+class TestNonFiniteTolerance:
+    @pytest.mark.parametrize(
+        "argv,verify_tol",
+        [
+            (["eigen", "--coeffs", "1,1", "--tol", "nan"], None),
+            (["eigen", "--coeffs", "1,1", "--tol", "inf"], None),
+            (["sequence", "--coeffs", "1,1", "-n", "5", "--method", "binet", "--tol", "nan"], None),
+            (["verify", "SPEC", "--dim", "5", "--tol", "nan"], None),
+            (["verify", "SPEC", "--dim", "5", "--tol", "inf"], None),
+            (["verify", "SPEC", "--dim", "5"], "NaN"),  # json reads these as floats
+            (["verify", "SPEC", "--dim", "5"], "Infinity"),
+            (["verify", "SPEC", "--dim", "5"], "1" + "0" * 400),  # an int beyond float64
+        ],
+        ids=[
+            "eigen-nan", "eigen-inf", "binet-nan", "verify-nan", "verify-inf",
+            "spec-nan", "spec-inf", "spec-huge-int",
+        ],
+    )
+    def test_input_error(self, tmp_path, capsys, argv, verify_tol):
+        text = json.dumps(SPEC_212)
+        if verify_tol is not None:
+            text = text[:-1] + f', "tolerances": {{"verify": {verify_tol}}}}}'
+        path = write_spec(tmp_path, text)
+        assert main([path if a == "SPEC" else a for a in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+class _Tail(io.TextIOBase):
+    """A stdout that counts lines and keeps only the last few writes."""
+
+    def __init__(self):
+        self.lines = 0
+        self.writes = collections.deque(maxlen=8)
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        self.writes.append(text)
+        return len(text)
+
+
+@contextlib.contextmanager
+def _digit_limit(limit):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestDigitLimit:
+    # At the default limit of 4300 digits str() refuses alpha_n from n ~ 20577.
+    @pytest.mark.parametrize(
+        "argv,column",
+        [
+            (["sequence", "--coeffs", "1,1", "-n", "21000", "--format", "csv"], 1),
+            (["subst", "grow", "--rule", "A:AB,B:A", "--steps", "21000", "--format", "csv"], 3),
+        ],
+        ids=["sequence", "subst-grow"],
+    )
+    def test_values_print_at_any_size(self, monkeypatch, argv, column):
+        sink = _Tail()
+        monkeypatch.setattr(sys, "stdout", sink)
+        with _digit_limit(4300):
+            assert main(argv) == 0
+            assert sys.get_int_max_str_digits() == 4300
+        assert sink.lines == 1 + 21001  # header plus steps 0..21000
+        last = "".join(sink.writes).splitlines()[-1].split(",")
+        assert last[0] == "21000"
+        digits = last[column]
+        assert len(digits) == 4389
+        coeffs = CoefficientVector((F(1), F(1)))
+        expected = iterate_sequence(coeffs, extend_seeds(coeffs, F(1), (F(0),)), 21000).values[-1]
+        with _digit_limit(0):
+            assert F(digits) == expected
 
 
 class TestArgparseBehavior:
