@@ -7,6 +7,11 @@ many times faster than Fraction work (no gcd per operation), so callers
 convert their inputs with same_arithmetic, the one place that chooses, and
 their results back with fractions. matrix_char_poly scales its matrix to
 integers the same way. as_fraction is the one coercion of exact inputs.
+Iteration with non-integral coefficients, which same_arithmetic leaves on
+Fractions, runs on ints too (rational_recurrence): each value's denominator
+is a product of the primes of the input denominators, so tracking their
+exponents keeps every value in lowest terms with no gcd, and the reduced
+Fractions are built without one.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
 14(1)), k^2 products per squaring against k^3 for a matrix product.
 squarefree decides exactly whether a polynomial has a repeated root, so that
@@ -15,8 +20,11 @@ the float root iteration only ever runs on simple roots.
 
 from __future__ import annotations
 
+import numbers
+from collections import deque
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import add, sub
 
 
 def as_fraction(value) -> Fraction:
@@ -47,6 +55,193 @@ def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
     if d != 1:
         return tuple(Fraction(x, d) for x in values)
     return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+
+
+class _Reduced:
+    """A numerator and denominator already in lowest terms, denominator > 0.
+
+    Registered as a numbers.Rational, so Fraction(_Reduced(p, q)) takes
+    Fraction's one-argument Rational form, which copies the two as given
+    (CPython 3.10-3.13) and skips the gcd that Fraction(p, q) runs, the
+    dominant cost on values thousands of bits long. The numbers ABC asks a
+    Rational to be in lowest terms with a positive denominator, and the one
+    caller, rational_recurrence, guarantees both. Should a later Fraction
+    normalize in this form, results stay exact and only the saving is lost.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+
+numbers.Rational.register(_Reduced)
+
+# Trial division stops at this bound: a cofactor left above its square may
+# be composite, and rational_recurrence needs every prime proven.
+TRIAL_LIMIT = 1 << 16
+
+
+def prime_factors(d: int) -> list[int] | None:
+    """The distinct primes of d >= 1, ascending, by trial division up to
+    sqrt of the cofactor; None when that reaches TRIAL_LIMIT with the
+    cofactor, above TRIAL_LIMIT**2, unproven."""
+    primes = []
+    p = 2
+    while p * p <= d:
+        if p >= TRIAL_LIMIT:
+            return None
+        if d % p == 0:
+            primes.append(p)
+            d = _strip(d, p)[0]
+        p += 1 if p == 2 else 2
+    if d > 1:
+        primes.append(d)
+    return primes
+
+
+def _strip(x: int, p: int) -> tuple[int, int]:
+    """(x / p^v, v) for x != 0, p^v the largest power of p dividing x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return x, v
+
+
+def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
+    """alpha_0..alpha_n of alpha_{m+1} = sum_i lams[i] alpha_{m-i} as
+    reduced Fractions, from the window (alpha_{-(k-1)}, ..., alpha_0); lams
+    and window hold Fractions. None when prime_factors cannot factor the
+    lcm of their denominators: the caller then iterates on Fractions.
+
+    Every denominator is a product of powers of those primes P. A nonzero
+    value is held as (numerator, denominator, exponents e_p of P in the
+    denominator), zero as None, and lams[i] = L_i prod p^u_ip with L_i an
+    integer prime to P. A step takes E_p = max(0, max_i(e_ip - u_ip)) over
+    the nonzero terms, so that every term is a multiple of 1/prod p^E_p,
+    the sum X = sum_i L_i prod p^(E_p - e_ip + u_ip) numerator_i, and
+    D = prod p^E_p, then divides X and D by p while p | X and E_p > 0. What
+    is left is coprime with D > 0: no prime of D divides X. The loop has
+    only big-by-small products, sums and exact divisions by a small prime,
+    and no gcd.
+
+    Only the differences of the exponents matter to a step, so its small
+    factors are computed once per window shape (see shape_of), and the next
+    shape is looked up by how often the step divided by each prime.
+    """
+    primes = prime_factors(lcm(*(x.denominator for x in (*lams, *window))))
+    if primes is None:
+        return None
+
+    def split(x):  # (x / prod p^e_p, e) for an integer x != 0
+        e = []
+        for p in primes:
+            x, v = _strip(x, p)
+            e.append(v)
+        return x, tuple(e)
+
+    def power(a):
+        return prod(p**ap for p, ap in zip(primes, a))
+
+    terms = []  # (L_i, u_i)
+    for lam in lams:
+        L, up = split(lam.numerator)
+        terms.append((L, tuple(map(sub, up, split(lam.denominator)[1]))))
+    held = deque(maxlen=len(lams))  # newest first, so held[i] pairs with lams[i]
+    for x in window:
+        held.appendleft((x.numerator, x.denominator, split(x.denominator)[1]) if x else None)
+    shapes = {}
+
+    def shape_of():
+        """(step data, b) for the held window, b the exponents of its first
+        nonzero entry; (None, None) when every entry is zero.
+
+        The shape is the exponents relative to b, rel_i = e_i - b. With
+        dE = max_i(rel_i - u_i), the step data are the multipliers
+        L_i prod p^(dE - rel_i + u_i) of the nonzero entries, the index of
+        the first one, dE, prod p^dE split as p^+dE / p^-dE (D is that times
+        the first entry's denominator), and the next shapes by division
+        counts. E = b + dE unless a component is negative, where every term
+        is a multiple of p: E_p is then 0.
+        """
+        b = next((h[2] for h in held if h), None)
+        if b is None:
+            return None, None
+        key = tuple(h and tuple(map(sub, h[2], b)) for h in held)
+        step = shapes.get(key)
+        if step is None:
+            live = [
+                (i, L, tuple(map(sub, rel, u)))
+                for i, (rel, (L, u)) in enumerate(zip(key, terms))
+                if rel is not None
+            ]
+            dE = tuple(max(c) for c in zip(*(s for _, _, s in live)))
+            step = shapes[key] = (
+                tuple((i, L * power(map(sub, dE, s))) for i, L, s in live),
+                live[0][0],
+                dE,
+                power(max(d, 0) for d in dE),
+                power(max(-d, 0) for d in dE),
+                {},
+            )
+        return step, b
+
+    step, b = shape_of()
+    no_divisions = (0,) * len(primes)
+    values = [window[-1]]
+    for _ in range(n):
+        X = 0
+        if step:
+            multipliers, first, dE, times, over, follow = step
+            for i, m in multipliers:
+                X += m * held[i][0]
+        if not X:
+            held.appendleft(None)
+            values.append(Fraction(0))
+            step, b = shape_of()
+            continue
+        E = tuple(map(add, b, dE))
+        clipped = min(E, default=0) < 0
+        if clipped:
+            X *= power(max(-x, 0) for x in E)
+            E = tuple(max(x, 0) for x in E)
+            D = power(E)
+        else:
+            D = held[first][1] * times
+            if over != 1:
+                D //= over
+        counts = no_divisions
+        for ep, p in zip(E, primes):
+            if ep and X % p == 0:
+                X, D, E, counts = _divide_out(primes, X, D, E)
+                break
+        held.appendleft((X, D, E))
+        values.append(Fraction(_Reduced(X, D)))
+        if clipped:
+            step, b = shape_of()
+        else:
+            nxt = follow.get(counts)
+            if nxt is None:
+                nxt = follow[counts] = shape_of()[0]
+            step, b = nxt, E
+    return values
+
+
+def _divide_out(primes, X, D, E):
+    """X/q, D/q, the exponents of D/q and how often each p divides q, for
+    q the largest product of p^c_p (c_p <= E_p) that divides X."""
+    E, counts = list(E), []
+    for j, p in enumerate(primes):
+        c = 0
+        while E[j] and X % p == 0:
+            X //= p
+            D //= p
+            E[j] -= 1
+            c += 1
+        counts.append(c)
+    return X, D, tuple(E), tuple(counts)
 
 
 def mat_mul(a, b):

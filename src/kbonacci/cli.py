@@ -575,8 +575,26 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+# Flags whose value is a list of rationals. argparse takes a value shaped
+# like "-1,2" or "-1/2" for an option and refuses it, yet accepts the same
+# value joined on ("--coeffs=-1,2"); main joins it.
+_RATIONAL_FLAGS = ("--coeffs", "--seeds")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    joined = []
+    for arg in argv:
+        negative = len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789./"
+        if negative and joined and joined[-1] in _RATIONAL_FLAGS:
+            joined[-1] = f"{joined[-1]}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -16,7 +16,11 @@ coefficient case, the Miles multinomial formula. All three are exact and
 return fractions.Fraction values. Iteration and companion powers share one
 integer path: with integral coefficients they run on Python ints, several
 times faster than Fraction arithmetic, the seeds scaled by the lcm of their
-denominators (see _exact.same_arithmetic).
+denominators (see _exact.same_arithmetic). Iteration with non-integral
+coefficients runs on ints as well: each value is kept in lowest terms from
+the exponents of the primes of the input denominators, with no gcd (see
+_exact.rational_recurrence). Companion powers with such coefficients stay on
+Fractions, an independent route to check iteration against.
 """
 
 from __future__ import annotations
@@ -125,6 +129,10 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
     Exact, with Fraction results. n_max must be >= 0.
     """
     d, lams, window = _inputs(coeffs, seeds, n_max, "n_max")
+    if any(c.denominator != 1 for c in coeffs.values):
+        values = _exact.rational_recurrence(lams, window, n_max)
+        if values is not None:
+            return ExactSequence(tuple(values), coeffs, seeds)
     k = coeffs.k
     values = [window[-1]]  # window holds alpha_{n-k+1}..alpha_n, currently n = 0
     for _ in range(n_max):

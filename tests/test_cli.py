@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kbonacci import _exact, cli
 from kbonacci.cli import main
@@ -318,6 +319,76 @@ class TestSequenceCommand:
     def test_seeds_length_checked(self, capsys):
         assert main(["sequence", "--coeffs", "1,1", "--seeds", "1,0,0", "-n", "3"]) == 1
         assert "--seeds" in capsys.readouterr().err
+
+    def test_rational_matrix_check_at_4000(self, capsys):
+        # The matrix route on Fractions against the integer rational kernel.
+        argv = ["sequence", "--coeffs", "1/2,1/3,1/6", "--seeds", "1,1,1/3", "-n", "4000",
+                "--method", "matrix", "--check", "--format", "csv"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4002 + 1  # header and rows 0..4000, then the check
+        assert lines[-2].startswith("4000,")
+        assert lines[-1] == "# max discrepancy vs direct: 0"
+
+
+class TestLeadingNegative:
+    # argparse reads "-1,2" after a flag as another option; main joins it
+    # on, as "--coeffs=-1,2" has always been read.
+    @pytest.mark.parametrize(
+        "argv,rc,expected",
+        [
+            (["sequence", "--coeffs", "-1,2", "-n", "3"], 0, "3  -5"),
+            (["sequence", "--coeffs", "1,1", "--seeds", "-1,0", "-n", "3"], 0, "3  -3"),
+            (["eigen", "--coeffs", "-1,2"], 0, "characteristic polynomial: x^2 + x - 2"),
+            (["stochastic", "--coeffs", "-1/2,3/2"], 0, "stochastic: no (negative coefficients)"),
+            (["subst", "enumerate", "--coeffs", "-1,2"], 1,
+             "error: lambda_1 = -1 is not a natural number >= 1"),
+        ],
+        ids=["sequence-coeffs", "sequence-seeds", "eigen", "stochastic", "subst-enumerate"],
+    )
+    def test_parsed_as_joined(self, capsys, argv, rc, expected):
+        assert main(argv) == rc
+        out, err = capsys.readouterr()
+        assert expected in (out if rc == 0 else err).splitlines()
+        i = next(i for i, a in enumerate(argv) if a[:1] == "-" and a[1:2].isdigit())
+        joined = [*argv[: i - 1], f"{argv[i - 1]}={argv[i]}", *argv[i + 1 :]]
+        assert main(joined) == rc
+        assert capsys.readouterr() == (out, err)
+
+
+_FUZZ_ITEMS = st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).map(str),
+    st.integers(min_value=-20, max_value=20).map(str),
+    st.sampled_from(["1/0", "x", "", "-", "-1/0", " 2", "1.5", "--1"]),
+)
+
+
+class TestSequenceFuzz:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(_FUZZ_ITEMS, min_size=1, max_size=5).map(",".join),
+        st.none() | st.lists(_FUZZ_ITEMS, min_size=1, max_size=5).map(",".join),
+        st.integers(min_value=0, max_value=60),
+        st.sampled_from(["direct", "matrix"]),
+        st.sampled_from(["table", "csv", "json"]),
+    )
+    def test_error_contract(self, coeffs, seeds, n, method, fmt):
+        argv = ["sequence", "--coeffs", coeffs, "-n", str(n), "--method", method, "--format", fmt]
+        if seeds is not None:
+            argv += ["--seeds", seeds]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 3)
+        assert "Traceback" not in err.getvalue()
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        if rc == 0:
+            assert errors == []
+            if fmt == "json":
+                values = json.loads(out.getvalue(), parse_constant=_reject_constant)["values"]
+                assert len(values) == n + 1
+        else:
+            assert len(errors) == 1
 
 
 class TestEigenCommand:

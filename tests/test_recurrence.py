@@ -7,10 +7,12 @@ enumeration) before the identity tying it to the recurrence is asserted.
 
 from fractions import Fraction as F
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbonacci import _exact
 from kbonacci import (
     CoefficientVector,
     DomainError,
@@ -209,8 +211,9 @@ def problem(draw, max_k=6, seed_pool=rationals, min_k=2, coeff_pool=nonzero):
 
 class TestProperties:
     # Integral coefficient vectors take the integer path (rational seeds
-    # scaled to ints), rational ones the Fraction path; both pools hold
-    # negative entries.
+    # scaled to ints), rational ones the prime-exponent kernel
+    # (_exact.rational_recurrence), while the matrix routes stay on
+    # Fractions; both pools hold negative entries.
     @settings(deadline=None)
     @given(
         st.one_of(
@@ -280,3 +283,115 @@ class TestProperties:
         vals = iterate_sequence(coeffs, seeds, 15).values
         for a, b in zip(vals, vals[1:]):
             assert b >= a
+
+
+def fraction_oracle(coeffs, seeds, n):
+    """alpha_0..alpha_n by a plain Fraction loop, independent of the library."""
+    window = list(seeds.extended)
+    values = [window[-1]]
+    for _ in range(n):
+        nxt = sum((lam * x for lam, x in zip(coeffs.values, reversed(window))), F(0))
+        values.append(nxt)
+        window = window[1:] + [nxt]
+    return tuple(values)
+
+
+def assert_reduced_and_equal(values, expected):
+    assert values == expected
+    for v in values:
+        assert type(v) is F
+        assert v.denominator > 0
+        assert gcd(v.numerator, v.denominator) == 1
+        assert hash(v) == hash(F(v.numerator, v.denominator))
+
+
+# Numerators and denominators share the primes 2, 3, 5 and 7, so that one
+# entry's numerator can cancel another's denominator (3/2 against 2/3);
+# 65537 and 1000003 are primes above 2^16.
+kernel_rationals = st.builds(
+    F,
+    st.integers(min_value=-12, max_value=12),
+    st.sampled_from([1, 2, 3, 4, 6, 9, 10, 14, 35, 65537, 1000003]),
+)
+
+
+@st.composite
+def rational_problem(draw):
+    k = draw(st.integers(min_value=1, max_value=8))
+    lams = draw(
+        st.lists(kernel_rationals.filter(lambda q: q != 0), min_size=k, max_size=k).filter(
+            lambda ls: any(q.denominator != 1 for q in ls)
+        )
+    )
+    coeffs = CoefficientVector(tuple(lams))
+    seeds = draw(st.lists(kernel_rationals, min_size=k, max_size=k))
+    return coeffs, extend_seeds(coeffs, seeds[0], tuple(seeds[1:]))
+
+
+def problem_of(lams, seeds):
+    coeffs = CoefficientVector(tuple(F(v) for v in lams))
+    return coeffs, extend_seeds(coeffs, F(seeds[0]), tuple(F(v) for v in seeds[1:]))
+
+
+class TestRationalKernel:
+    """Non-integral coefficients: integers with per-prime denominator
+    exponents, each value built reduced without a gcd."""
+
+    @settings(deadline=None)
+    @given(rational_problem(), st.integers(min_value=0, max_value=120))
+    def test_equals_fraction_oracle(self, problem, n):
+        coeffs, seeds = problem
+        assert_reduced_and_equal(
+            iterate_sequence(coeffs, seeds, n).values, fraction_oracle(coeffs, seeds, n)
+        )
+
+    @pytest.mark.parametrize(
+        "lams,seeds,n",
+        [
+            (("1/2", "1/3", "1/6"), (1, 1, "1/3"), 4000),
+            (("7/10", "-3/14", "1/35"), (1, "1/3", 2), 600),
+            (("-1/2", "1/1000003"), (1, "1/3"), 300),
+            (("3/2", "-1/2"), ("2/3", 1), 500),  # a value's 3 cancels lambda_1's
+        ],
+    )
+    def test_explicit_cases(self, lams, seeds, n):
+        coeffs, state = problem_of(lams, seeds)
+        assert _exact.rational_recurrence(coeffs.values, state.extended, n) is not None
+        assert_reduced_and_equal(
+            iterate_sequence(coeffs, state, n).values, fraction_oracle(coeffs, state, n)
+        )
+
+    @pytest.mark.parametrize("lam,seed", [("1/2", 1), ("3/2", "1/3")])
+    def test_order_one(self, lam, seed):
+        # alpha_m = lam^m alpha_0. From 1/3, 3/2 makes every term from
+        # alpha_2 on a multiple of 3, which the step must keep out of D.
+        coeffs, state = problem_of((lam,), (seed,))
+        values = iterate_sequence(coeffs, state, 300).values
+        assert_reduced_and_equal(values, tuple(F(lam) ** m * F(seed) for m in range(301)))
+
+    def test_all_zero_window(self):
+        coeffs, state = problem_of(("1/2", "-1/3", "5/6"), (0, 0, 0))
+        assert_reduced_and_equal(iterate_sequence(coeffs, state, 20).values, (F(0),) * 21)
+
+    def test_unproven_denominator_takes_fraction_loop(self):
+        # (2^61 - 1)(2^31 - 1): trial division to 2^16 leaves the product unproven.
+        big = ((1 << 61) - 1) * ((1 << 31) - 1)
+        coeffs, state = problem_of(("1/2", F(1, big)), (1, "1/3"))
+        assert _exact.rational_recurrence(coeffs.values, state.extended, 40) is None
+        assert_reduced_and_equal(
+            iterate_sequence(coeffs, state, 40).values, fraction_oracle(coeffs, state, 40)
+        )
+
+    @pytest.mark.parametrize(
+        "d,primes",
+        [
+            (1, []),
+            (12, [2, 3]),
+            (3 * 65537, [3, 65537]),
+            (4294967291, [4294967291]),  # the largest prime below 2^32
+            (65537**2, None),  # above 2^32, no factor below 2^16
+            (((1 << 61) - 1) * ((1 << 31) - 1), None),
+        ],
+    )
+    def test_prime_factors(self, d, primes):
+        assert _exact.prime_factors(d) == primes
