@@ -10,8 +10,9 @@ integers the same way. as_fraction is the one coercion of exact inputs.
 Iteration with non-integral coefficients, which same_arithmetic leaves on
 Fractions, runs on ints too (rational_recurrence): each value's denominator
 is a product of the primes of the input denominators, so tracking their
-exponents keeps every value in lowest terms with no gcd, and the reduced
-Fractions are built without one.
+exponents keeps every value in lowest terms with no gcd. reduced builds a
+Fraction from such a pair by writing its two slots, with neither a gcd nor
+Fraction's argument dispatch; fractions uses it for ints too.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
 14(1)), k^2 products per squaring against k^3 for a matrix product.
 squarefree decides exactly whether a polynomial has a repeated root, so that
@@ -20,7 +21,6 @@ the float root iteration only ever runs on simple roots.
 
 from __future__ import annotations
 
-import numbers
 from collections import deque
 from fractions import Fraction
 from math import lcm, prod
@@ -54,29 +54,24 @@ def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
     without copying the ones that already are."""
     if d != 1:
         return tuple(Fraction(x, d) for x in values)
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
+    return tuple(x if type(x) is Fraction else reduced(x, 1) for x in values)
 
 
-class _Reduced:
-    """A numerator and denominator already in lowest terms, denominator > 0.
+_new = object.__new__
 
-    Registered as a numbers.Rational, so Fraction(_Reduced(p, q)) takes
-    Fraction's one-argument Rational form, which copies the two as given
-    (CPython 3.10-3.13) and skips the gcd that Fraction(p, q) runs, the
-    dominant cost on values thousands of bits long. The numbers ABC asks a
-    Rational to be in lowest terms with a positive denominator, and the one
-    caller, rational_recurrence, guarantees both. Should a later Fraction
-    normalize in this form, results stay exact and only the saving is lost.
+
+def reduced(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator from a pair already in lowest
+    terms with denominator > 0, built without Fraction's gcd and type
+    dispatch: the two slots are written directly, as CPython's own
+    Fraction._from_coprime_ints (3.12+) does. The slot names are those of
+    CPython 3.10-3.13. A pair that is not reduced gives a Fraction that
+    compares and hashes wrongly, so callers must guarantee both conditions.
     """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator = numerator
-        self.denominator = denominator
-
-
-numbers.Rational.register(_Reduced)
+    value = _new(Fraction)
+    value._numerator = numerator
+    value._denominator = denominator
+    return value
 
 # Trial division stops at this bound: a cofactor left above its square may
 # be composite, and rational_recurrence needs every prime proven.
@@ -199,7 +194,7 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
                 X += m * held[i][0]
         if not X:
             held.appendleft(None)
-            values.append(Fraction(0))
+            values.append(reduced(0, 1))
             step, b = shape_of()
             continue
         E = tuple(map(add, b, dE))
@@ -218,7 +213,7 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
                 X, D, E, counts = _divide_out(primes, X, D, E)
                 break
         held.appendleft((X, D, E))
-        values.append(Fraction(_Reduced(X, D)))
+        values.append(reduced(X, D))
         if clipped:
             step, b = shape_of()
         else:

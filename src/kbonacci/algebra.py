@@ -22,7 +22,10 @@ ladder i hold the vacuum value until the argument index is nonnegative.
 
 Arithmetic is exact (Fraction results, computed on ints scaled by the lcm
 of the denominators when the slopes are integral) when every function is
-affine with rational coefficients, or float64 on request. A truncation to
+affine with rational coefficients, or float64 on request. In float64 an
+affine function runs as slope * x + offset in floats and any other one is
+compiled once per call (exprparse.float_evaluator), with the values of
+evaluate at a float argument. A truncation to
 the first dim Fock levels is stored as bands only, its spectrum table: H
 and the J_i are diagonal and the raising operator has one subdiagonal, so
 each defining relation is checked entry by entry on its band, by one
@@ -43,7 +46,7 @@ from .errors import (
     NonUnitaryRepresentationError,
     TruncationTooSmallError,
 )
-from .exprparse import ExprNode, as_affine, evaluate
+from .exprparse import ExprNode, as_affine, evaluate, float_evaluator
 from .recurrence import CoefficientVector
 
 __all__ = [
@@ -187,7 +190,7 @@ def _evaluators(spec: GHASpec) -> list[Callable]:
     out = []
     for fn, pair in zip(spec.functions, spec.affine_forms):
         if pair is None:
-            out.append(lambda x, f=fn: float(f(x)))
+            out.append(float_evaluator(fn.node))
         else:
             out += _affine([float(pair[0])], [float(pair[1])])
     return out
@@ -363,6 +366,12 @@ def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> Ve
     by 1, so every entry is a rational product of N_n^2 values times a
     scalar recursion residual and is exactly zero when the recursions hold;
     float64 specs weight both by N_n.
+
+    In float64 the H.raising entry takes its right-hand side from
+    math.fsum, correctly rounded, against alpha_{n+1}^(1) as spectrum()
+    summed it left to right, so it measures that sum's rounding. At k = 2
+    the sum is one addition, itself correctly rounded, and the entry reads
+    0; the level function is evaluated the same way on both sides.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
@@ -378,15 +387,12 @@ def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> Ve
     else:
         up = [row.norm for row in rows[:-1]]
         squares = [x * x for x in up]
-    # f_1(H) + sum J_i on the diagonal, summed in spectrum()'s order.
-    rhs = []
-    for row in rows:
-        total = fns[0](row.alphas[0])
-        for value in row.alphas[1:]:
-            total = total + value
-        rhs.append(total)
-
-    band = ((up[n], energy[n + 1], rhs[n]) for n in range(dim - 1))
+    # f_1(H) + sum J_i on the diagonal, summed in spectrum()'s order, and
+    # for the float64 H.raising band correctly rounded.
+    terms = [(fns[0](row.alphas[0]), *row.alphas[1:]) for row in rows]
+    rhs = [sum(t[1:], t[0]) for t in terms]
+    summed = rhs if spec.arithmetic == "exact" else list(map(math.fsum, terms))
+    band = ((up[n], energy[n + 1], summed[n]) for n in range(dim - 1))
     entries = [_band_residual("H.raising", band, tol)]
     power = [1] * dim  # power[n] is raising^(i-1) at (n+i-1, n), from i = 1
     for i in range(2, spec.k + 1):

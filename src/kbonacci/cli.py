@@ -219,13 +219,10 @@ def _cmd_spectrum(args) -> int:
     elif args.format == "csv":
         _emit_csv(header, rows)
     else:
-        widths = [
-            max(len(header[c]), *(len(_scalar_text(r[c])) for r in rows))
-            for c in range(len(header))
-        ]
-        print("  ".join(h.ljust(widths[c]) for c, h in enumerate(header)))
-        for r in rows:
-            print("  ".join(_scalar_text(v).ljust(widths[c]) for c, v in enumerate(r)))
+        cells = [header, *([_scalar_text(v) for v in r] for r in rows)]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        for r in cells:
+            print("  ".join(text.ljust(width) for text, width in zip(r, widths)))
         print(
             f"flags: physical_energy={flags['physical_energy']} "
             f"unitary={flags['unitary']} nondecreasing={flags['nondecreasing']}"
@@ -575,18 +572,31 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-# Flags whose value is a list of rationals. argparse takes a value shaped
-# like "-1,2" or "-1/2" for an option and refuses it, yet accepts the same
-# value joined on ("--coeffs=-1,2"); main joins it.
+# argparse takes a value with a leading minus for an option and refuses it
+# unless it looks like a plain negative number, yet accepts the same value
+# joined on ("--coeffs=-1,2"); main joins it. The rational-list flags take
+# values shaped like "-1,2" or "-1/2", and --tol any float ("-1e-3", "-inf"),
+# which the library then refuses with its own message.
 _RATIONAL_FLAGS = ("--coeffs", "--seeds")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:
     joined = []
     for arg in argv:
-        negative = len(arg) > 1 and arg[0] == "-" and arg[1] in "0123456789./"
-        if negative and joined and joined[-1] in _RATIONAL_FLAGS:
-            joined[-1] = f"{joined[-1]}={arg}"
+        flag = joined[-1] if joined else None
+        if len(arg) > 1 and arg[0] == "-" and (
+            flag in _RATIONAL_FLAGS and arg[1] in "0123456789./"
+            or flag == "--tol" and _is_float(arg)
+        ):
+            joined[-1] = f"{flag}={arg}"
         else:
             joined.append(arg)
     return joined

@@ -12,13 +12,17 @@ fractions such as 3/2 go through the division rule, which is equivalent
 because '/' is left-associative, and constant folding in as_affine recovers
 the exact rational. All literals are exact rationals, so evaluation at a
 Fraction argument is exact; evaluation at a float argument is float.
+evaluate walks the tree on every call and serves both; float_evaluator
+compiles a tree once into closures for repeated float evaluation, with
+the same results and errors.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import DivisionByZeroError, ExpressionSyntaxError
 
@@ -34,6 +38,7 @@ __all__ = [
     "ExprNode",
     "parse",
     "evaluate",
+    "float_evaluator",
     "as_affine",
     "unparse",
 ]
@@ -245,6 +250,92 @@ def evaluate(node: ExprNode, x):
     if isinstance(node, Neg):
         return -evaluate(node.operand, x)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def float_evaluator(node: ExprNode) -> Callable[[float], float]:
+    """The AST compiled once into a function of a float x that returns
+    float(evaluate(node, x)) bit for bit and raises what it raises, in the
+    same order, with one closure per node and no type dispatch per call.
+
+    evaluate at a float x folds an x-free subtree exactly in Fractions and
+    rounds it with float() where it meets a float, so each maximal x-free
+    subtree is folded and rounded here once. Where that fold raises, or the
+    rounding overflows or turns a nonzero value into 0.0, the subtree is
+    kept as evaluate left it (a closure that raises, or the Fraction), so
+    Python's mixed Fraction/float arithmetic raises at call time where
+    evaluate does.
+    """
+    compiled = _compile(node)
+    if callable(compiled):
+        return compiled
+    return lambda x: float(compiled)
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _compile(node: ExprNode):
+    """A float, or a Fraction (see float_evaluator), for an x-free subtree
+    that folds; else a function of x."""
+    if not _has_var(node):
+        try:
+            value = evaluate(node, None)
+        except DivisionByZeroError:
+            return lambda x: evaluate(node, x)
+        try:
+            rounded = float(value)
+        except OverflowError:
+            return value
+        return rounded if rounded or not value else value
+    if isinstance(node, Var):
+        return lambda x: x
+    if isinstance(node, Pow):
+        base, exponent = _compile(node.base), node.exponent
+        return lambda x: base(x) ** exponent
+    if isinstance(node, Neg):
+        operand = _compile(node.operand)
+        return lambda x: -operand(x)
+    left, right = _compile(node.left), _compile(node.right)
+    if isinstance(node, Div):
+        return _divide(left, right, unparse(node))
+    op = _BINARY[type(node)]
+    if not callable(left):
+        return lambda x: op(left, right(x))
+    if not callable(right):
+        return lambda x: op(left(x), right)
+    return lambda x: op(left(x), right(x))
+
+
+def _divide(left, right, text: str):
+    """left / right as evaluate orders it: the denominator first, its zero
+    check, then the numerator."""
+    if not callable(right):
+        if right == 0:
+            def zero(x):
+                raise DivisionByZeroError(text)
+
+            return zero
+        return lambda x: left(x) / right
+
+    def divide(x):
+        denom = right(x)
+        if denom == 0:
+            raise DivisionByZeroError(text)
+        return (left(x) if callable(left) else left) / denom
+
+    return divide
+
+
+def _has_var(node: ExprNode) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Const):
+        return False
+    if isinstance(node, Pow):
+        return _has_var(node.base)
+    if isinstance(node, Neg):
+        return _has_var(node.operand)
+    return _has_var(node.left) or _has_var(node.right)
 
 
 def as_affine(node: ExprNode) -> tuple[Fraction, Fraction] | None:

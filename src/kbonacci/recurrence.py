@@ -18,8 +18,9 @@ integer path: with integral coefficients they run on Python ints, several
 times faster than Fraction arithmetic, the seeds scaled by the lcm of their
 denominators (see _exact.same_arithmetic). Iteration with non-integral
 coefficients runs on ints as well: each value is kept in lowest terms from
-the exponents of the primes of the input denominators, with no gcd (see
-_exact.rational_recurrence). Companion powers with such coefficients stay on
+the exponents of the primes of the input denominators, with no gcd, and
+becomes a Fraction by writing its reduced pair directly (see
+_exact.rational_recurrence and _exact.reduced). Companion powers with such coefficients stay on
 Fractions, an independent route to check iteration against.
 """
 

@@ -450,6 +450,21 @@ class TestVerify:
         energies = [float(r.alphas[0]) for r in a]
         assert [r.alphas[0] for r in b] == pytest.approx(energies, rel=1e-12, abs=1e-12)
 
+    def test_float_h_raising_measures_the_sum(self):
+        # alpha_{n+1} is spectrum()'s left-to-right sum of k terms and the
+        # check sums them with fsum: at k >= 3 the two can round apart, at
+        # k = 2 both are one correctly rounded addition.
+        texts = ("x + 1/(x+1)", "x/3", "x/7")
+        fns = tuple(ExpressionFunction(parse(t)) for t in texts)
+        spec = GHASpec(functions=fns, vacuum=(F(1, 10), F(1, 5), F(1, 3)), arithmetic="float64")
+        report = verify_relations(truncated_operators(spec, 12), spec, tol=1e-14)
+        entry = report.entries[0]
+        assert entry.label == "H.raising"
+        assert 0 < entry.residual <= 1e-15 and entry.passed
+        spec = GHASpec(functions=fns[:2], vacuum=(F(1, 10), F(1, 5)), arithmetic="float64")
+        report = verify_relations(truncated_operators(spec, 12), spec)
+        assert report.entries[0].residual == 0
+
     def test_float_fibonacci_passes_at_large_dim(self):
         # Round-off in sqrt(N^2)^2 grows with N^2; the relative residual does not.
         spec = linear_spec((1, 1), (1, 0), "float64")

@@ -599,6 +599,30 @@ class TestNonFiniteTolerance:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+class TestNegativeTolerance:
+    # argparse reads "-1e-3" after --tol as another option; main joins it
+    # on, so the tolerance check reports it as for "--tol=-1e-3".
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigen", "--coeffs", "1,1", "--tol", "-1e-3"],
+            ["eigen", "--coeffs", "1,1", "--tol", "-inf"],
+            ["sequence", "--coeffs", "1,1", "-n", "5", "--method", "binet", "--tol", "-1e-3"],
+            ["verify", "SPEC", "--dim", "5", "--tol", "-1e-3"],
+        ],
+        ids=["eigen", "eigen-minus-inf", "binet", "verify"],
+    )
+    def test_input_error(self, tmp_path, capsys, argv):
+        path = write_spec(tmp_path, SPEC_212)
+        argv = [path if a == "SPEC" else a for a in argv]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: tol must be finite and positive\n"
+        assert main([*argv[:-2], f"--tol={argv[-1]}"]) == 1
+        assert capsys.readouterr() == (out, err)
+
+
 class _Tail(io.TextIOBase):
     """A stdout that counts lines and keeps only the last few writes."""
 

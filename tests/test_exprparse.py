@@ -2,13 +2,14 @@
 
 The evaluation corpus freezes exact rational results; the round-trip
 property generates parser-reachable trees and requires unparse/parse to be
-the identity on them.
+the identity on them. The compiled float evaluator is checked against
+float(evaluate(...)) on the same trees, errors included.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kbonacci.errors import DivisionByZeroError, ExpressionSyntaxError
 from kbonacci.exprparse import (
@@ -22,6 +23,7 @@ from kbonacci.exprparse import (
     Var,
     as_affine,
     evaluate,
+    float_evaluator,
     parse,
     unparse,
 )
@@ -165,18 +167,24 @@ smooth_consts = st.builds(
     st.sampled_from([1, 2, 4, 5, 8, 10, 16, 20, 25, 32]),
 )
 
-exprs = st.recursive(
-    smooth_consts | st.just(Var()),
-    lambda inner: st.one_of(
-        st.builds(Add, inner, inner),
-        st.builds(Sub, inner, inner),
-        st.builds(Mul, inner, inner),
-        st.builds(Div, inner, inner),
-        st.builds(Neg, inner),
-        st.builds(Pow, inner, st.integers(min_value=0, max_value=4)),
-    ),
-    max_leaves=12,
-)
+
+
+def trees(consts):
+    return st.recursive(
+        consts | st.just(Var()),
+        lambda inner: st.one_of(
+            st.builds(Add, inner, inner),
+            st.builds(Sub, inner, inner),
+            st.builds(Mul, inner, inner),
+            st.builds(Div, inner, inner),
+            st.builds(Neg, inner),
+            st.builds(Pow, inner, st.integers(min_value=0, max_value=4)),
+        ),
+        max_leaves=12,
+    )
+
+
+exprs = trees(smooth_consts)
 
 
 class TestRoundTrip:
@@ -202,3 +210,88 @@ class TestRoundTrip:
         assert unparse(Const(F(1, 3))) == "1/3"
         assert parse(unparse(Const(F(1, 3)))) == Div(Const(F(1)), Const(F(3)))
         assert unparse(parse("1.5*x")) == "1.5*x"
+
+
+def outcome(call):
+    """The float repr a call returns (NaN-aware), or its exception's type and message."""
+    try:
+        return repr(call())
+    except Exception as exc:  # the comparison is over every outcome
+        return type(exc), str(exc)
+
+
+def assert_same_as_evaluate(tree, x):
+    compiled = float_evaluator(tree)
+    assert outcome(lambda: compiled(x)) == outcome(lambda: float(evaluate(tree, x)))
+
+
+# Constants with any denominator round differently when folded exactly than
+# when each literal is rounded on its own.
+any_consts = st.builds(
+    Const,
+    st.fractions(min_value=-60, max_value=60, max_denominator=60)
+    | st.sampled_from([F(10) ** 400, F(1, 10**400)]),
+)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestFloatEvaluator:
+    @settings(deadline=None, max_examples=300)
+    @given(exprs, finite_floats)
+    def test_matches_evaluate(self, tree, x):
+        assert_same_as_evaluate(tree, x)
+
+    @settings(deadline=None, max_examples=300)
+    @given(trees(any_consts), finite_floats | st.sampled_from([0.0, 1.0, -1.0, 10.0]))
+    def test_matches_evaluate_any_constants(self, tree, x):
+        assert_same_as_evaluate(tree, x)
+
+    @pytest.mark.parametrize(
+        "text,x",
+        [
+            ("1/(x - 1)", 1.0),  # an x-subtree divides by zero
+            ("x + 1/0", 2.0),  # a constant subtree does
+            ("1/(x - 1) + 1/0", 1.0),  # the left operand raises first
+            ("1/(x - 1) + 1/0", 2.0),
+            ("x^400 + 1/0", 10.0),  # OverflowError before the later division
+            ("x^400 + 1/0", 1.0),
+            ("x^400/(x - 10)", 10.0),  # the denominator is checked first
+            ("x + 10^400", 1.0),  # the constant overflows float() where it meets x
+            ("1/(x - 1) + 10^400", 1.0),
+            ("10^400*(1/(x - 1))", 1.0),
+            ("x/(1/10^400)", 1.0),  # a nonzero constant rounds to 0.0
+            ("(1/10^400)/x", 0.0),
+            ("1/0", 1.0),
+            ("10^400", 1.0),
+        ],
+    )
+    def test_errors_in_evaluate_order(self, text, x):
+        assert_same_as_evaluate(parse(text), x)
+
+    def test_error_messages(self):
+        with pytest.raises(DivisionByZeroError) as err:
+            float_evaluator(parse("x + 1/0"))(2.0)
+        assert err.value.subtree_text == "1/0"
+        with pytest.raises(DivisionByZeroError) as err:
+            float_evaluator(parse("(x - 1)/(x - 1)"))(1.0)
+        assert err.value.subtree_text == "(x - 1)/(x - 1)"
+        with pytest.raises(OverflowError):
+            float_evaluator(parse("x^400 + 1/0"))(10.0)
+
+    @pytest.mark.parametrize(
+        "text,value,naive",
+        [
+            ("(1/3*3)*x", 1.0, 1 / 3 * 3),
+            ("(2/3 + 1/7)*x", 17 / 21, 2 / 3 + 1 / 7),
+            ("(0.1 + 0.2)*x", 0.3, 0.1 + 0.2),
+            ("1/49*49*x", 1.0, 1 / 49 * 49),
+            ("1/10*3*x", 0.3, 1 / 10 * 3),
+        ],
+    )
+    def test_constants_folded_exactly(self, text, value, naive):
+        # Each x-free subtree is folded in Fractions and rounded once, as
+        # evaluate does, which can differ from rounding each literal.
+        tree = parse(text)
+        assert float_evaluator(tree)(1.0) == float(evaluate(tree, 1.0)) == value
+        if naive != value:
+            assert float_evaluator(tree)(1.0) != naive

@@ -5,6 +5,7 @@ pinned against two independent oracles (a composition DP and a brute-force
 enumeration) before the identity tying it to the recurrence is asserted.
 """
 
+import operator
 from fractions import Fraction as F
 from itertools import product
 from math import gcd
@@ -395,3 +396,46 @@ class TestRationalKernel:
     )
     def test_prime_factors(self, d, primes):
         assert _exact.prime_factors(d) == primes
+
+
+@st.composite
+def coprime_pairs(draw):
+    """(p, q) in lowest terms with q > 0, up to 10^4 bits."""
+    bits = draw(st.sampled_from([8, 64, 1000, 10_000]))
+    p = draw(st.integers(min_value=-(1 << bits), max_value=1 << bits))
+    q = draw(st.integers(min_value=1, max_value=1 << bits))
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+class TestReduced:
+    """_exact.reduced writes Fraction's slots directly; the result must be
+    indistinguishable from Fraction(p, q)."""
+
+    @settings(deadline=None)
+    @given(coprime_pairs(), coprime_pairs())
+    def test_same_as_fraction(self, pair, other):
+        value, expected = _exact.reduced(*pair), F(*pair)
+        assert type(value) is F
+        assert value == expected
+        assert (value.numerator, value.denominator) == pair
+        assert hash(value) == hash(expected)
+        assert str(value) == str(expected) and repr(value) == repr(expected)
+        b = F(*other)
+        for op in (operator.add, operator.sub, operator.mul):
+            assert op(value, b) == op(expected, b)
+            assert op(b, value) == op(b, expected)
+        if b:
+            assert value / b == expected / b
+        assert value ** 3 == expected ** 3
+        assert (value < b) == (expected < b)
+        if abs(value) < 1 << 1000:
+            assert float(value) == float(expected)
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_fractions_returns_fraction_tuple(self, d):
+        values = _exact.fractions([0, -4, 12, F(3, 7)], d)
+        assert isinstance(values, tuple)
+        assert all(type(v) is F for v in values)
+        assert values == tuple(F(v) / d for v in (0, -4, 12, F(3, 7)))
+        assert [hash(v) for v in values] == [hash(F(v) / d) for v in (0, -4, 12, F(3, 7))]
