@@ -73,6 +73,7 @@ def reduced(numerator: int, denominator: int) -> Fraction:
     value._denominator = denominator
     return value
 
+
 # Trial division stops at this bound: a cofactor left above its square may
 # be composite, and rational_recurrence needs every prime proven.
 TRIAL_LIMIT = 1 << 16

@@ -20,8 +20,9 @@ denominators (see _exact.same_arithmetic). Iteration with non-integral
 coefficients runs on ints as well: each value is kept in lowest terms from
 the exponents of the primes of the input denominators, with no gcd, and
 becomes a Fraction by writing its reduced pair directly (see
-_exact.rational_recurrence and _exact.reduced). Companion powers with such coefficients stay on
-Fractions, an independent route to check iteration against.
+_exact.rational_recurrence and _exact.reduced). Companion powers with such
+coefficients stay on Fractions, an independent route to check iteration
+against.
 """
 
 from __future__ import annotations
