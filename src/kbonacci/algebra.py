@@ -184,6 +184,16 @@ def _affine(slopes, offsets) -> list[Callable]:
     return [lambda x, a=a, b=b: a * x + b for a, b in zip(slopes, offsets)]
 
 
+def _float_or_exact(value: Fraction):
+    """float(value), or value itself where it is beyond the float range: float
+    arithmetic with it then raises OverflowError where it is used, as in a
+    compiled level function (exprparse.float_evaluator)."""
+    try:
+        return float(value)
+    except OverflowError:
+        return value
+
+
 def _evaluators(spec: GHASpec) -> list[Callable]:
     if spec.arithmetic == "exact":
         return _affine(*zip(*spec.affine_forms))
@@ -192,7 +202,8 @@ def _evaluators(spec: GHASpec) -> list[Callable]:
         if pair is None:
             out.append(float_evaluator(fn.node))
         else:
-            out += _affine([float(pair[0])], [float(pair[1])])
+            slope, offset = map(_float_or_exact, pair)
+            out += _affine([slope], [offset])
     return out
 
 
@@ -238,8 +249,11 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         fns = _affine(slope, offset)
     else:
         d, fns = 1, _evaluators(spec)
-        vacuum = [float(v) for v in spec.vacuum]
-        below = [float(v) for v in below]
+        try:
+            vacuum = [float(v) for v in spec.vacuum]  # every vacuum value is on level 0
+        except OverflowError:
+            raise ComputationError("float64 overflow at level n=0") from None
+        below = [_float_or_exact(v) for v in below]  # arguments of linear float fns only
     energies = {-m: value for m, value in enumerate(below, start=1)}  # alpha_n^(1) by level n
     energies[0] = vacuum[0]
 

@@ -16,13 +16,16 @@ coefficient case, the Miles multinomial formula. All three are exact and
 return fractions.Fraction values. Iteration and companion powers share one
 integer path: with integral coefficients they run on Python ints, several
 times faster than Fraction arithmetic, the seeds scaled by the lcm of their
-denominators (see _exact.same_arithmetic). Iteration with non-integral
-coefficients runs on ints as well: each value is kept in lowest terms from
-the exponents of the primes of the input denominators, with no gcd, and
-becomes a Fraction by writing its reduced pair directly (see
-_exact.rational_recurrence and _exact.reduced). Companion powers with such
-coefficients stay on Fractions, an independent route to check iteration
-against.
+denominators (see _exact.same_arithmetic). An iteration step on ints adds
+the terms of coefficient +1, subtracts those of -1 and multiplies only by
+the other coefficients, reading its k terms by index from the growing list
+of values. Iteration with non-integral coefficients runs on ints as well:
+each value is kept in lowest terms from the exponents of the primes of the
+input denominators, with no gcd, and becomes a Fraction by writing its
+reduced pair directly (see _exact.rational_recurrence and _exact.reduced).
+Companion powers with such coefficients stay on Fractions, an independent
+route to check iteration against. Miles' sum computes each of its partial
+sums once (see miles_number) and never uses the recurrence.
 """
 
 from __future__ import annotations
@@ -135,15 +138,22 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
         values = _exact.rational_recurrence(lams, window, n_max)
         if values is not None:
             return ExactSequence(tuple(values), coeffs, seeds)
-    k = coeffs.k
-    values = [window[-1]]  # window holds alpha_{n-k+1}..alpha_n, currently n = 0
+    # values holds alpha_{-(k-1)}..alpha_m, so alpha_{m-i+1} is values[-i].
+    values = window
+    plus = [-i for i, c in enumerate(lams, 1) if c == 1]
+    minus = [-i for i, c in enumerate(lams, 1) if c == -1]
+    scaled = [(-i, c) for i, c in enumerate(lams, 1) if c not in (1, -1)]
+    first = plus.pop() if plus else 0  # a +1 term starts the sum, saving an addition to 0
     for _ in range(n_max):
-        nxt = lams[0] * window[k - 1]
-        for i in range(1, k):
-            nxt += lams[i] * window[k - 1 - i]
+        nxt = values[first] if first else 0
+        for i in plus:
+            nxt += values[i]
+        for i in minus:
+            nxt -= values[i]
+        for i, c in scaled:
+            nxt += c * values[i]
         values.append(nxt)
-        del window[0]
-        window.append(nxt)
+    del values[: coeffs.k - 1]
     return ExactSequence(_exact.fractions(values, d), coeffs, seeds)
 
 
@@ -187,9 +197,15 @@ def miles_number(k: int, m: int) -> int:
     """k-generalized Fibonacci number F_m^(k) by the multinomial sum.
 
     F_m^(k) = sum over a_1 + 2 a_2 + ... + k a_k = m - k + 1 of
-    (a_1 + ... + a_k)! / (a_1! ... a_k!). The multinomial factor is built
-    incrementally as a product of binomials along the enumeration, so no
-    full factorials are formed.
+    (a_1 + ... + a_k)! / (a_1! ... a_k!). The sum runs over a_k, then
+    a_{k-1}, ..., down to a_1, and the multinomial factor is built along the
+    way as a product of binomials comb(a_k + ... + a_j, a_j), so no full
+    factorials are formed. The part of the sum below a given choice of
+    a_k, ..., a_{j+1} depends only on (j, the weight still to place, the
+    count so far); each such partial sum is computed once, kept in a dict
+    local to the call, and multiplied by the factor built above it. This
+    regroups the same multinomial terms: the value never comes from the
+    recurrence, so it stays an independent check of iteration.
 
     Requires k >= 2 and m >= k - 1 (DomainError otherwise).
     """
@@ -198,20 +214,23 @@ def miles_number(k: int, m: int) -> int:
     target = m - k + 1
     if target < 0:
         raise DomainError(f"m must be >= k - 1, got m={m} for k={k}")
+    memo = {}
 
-    def descend(weight: int, remaining: int, total: int, coeff: int) -> int:
+    def partial(weight: int, remaining: int, total: int) -> int:
+        # sum over a_weight, ..., a_1 with weighted sum `remaining` of the
+        # product of comb(total + a_weight + ... + a_j, a_j), j = weight..1
         if weight == 1:
-            return coeff * comb(total + remaining, remaining)
-        acc = 0
-        a = 0
-        while a * weight <= remaining:
-            acc += descend(
-                weight - 1, remaining - a * weight, total + a, coeff * comb(total + a, a)
-            )
-            a += 1
-        return acc
+            return comb(total + remaining, remaining)
+        key = (weight, remaining, total)
+        value = memo.get(key)
+        if value is None:
+            value = 0
+            for a in range(remaining // weight + 1):
+                value += comb(total + a, a) * partial(weight - 1, remaining - a * weight, total + a)
+            memo[key] = value
+        return value
 
-    return descend(k, target, 0, 1)
+    return partial(k, target, 0)
 
 
 def energy_from_miles(k: int, n: int) -> int:

@@ -135,6 +135,26 @@ class TestSpectrumOverflow:
             assert len(errors) == 1 and "level n=" in errors[0]
 
 
+class TestFloatRangeInputs:
+    """An affine coefficient or a vacuum value beyond the float64 range."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"k": 1, "functions": ["x + 10^400"], "vacuum": ["0"], "n_max": 3,
+             "arithmetic": "float64"},
+            {"k": 1, "linear": ["1"], "vacuum": ["1e400"], "n_max": 3, "arithmetic": "float64"},
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["spectrum"], ["verify", "--dim", "3"]])
+    def test_exit_3_with_one_error_line(self, tmp_path, capsys, spec, argv):
+        path = write_spec(tmp_path, spec)
+        assert main([argv[0], path, *argv[1:]]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: float64 overflow at level n=0\n"
+
+
 class TestSpecFileErrors:
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = write_spec(tmp_path, '{"k": 2,,}')
@@ -389,6 +409,22 @@ class TestSequenceFuzz:
                 assert len(values) == n + 1
         else:
             assert len(errors) == 1
+
+
+_CSV_FIELDS = st.text(alphabet="ab ,\"\r\n\t'-/0123456789", max_size=6)
+
+
+class TestCsvRows:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(_CSV_FIELDS, max_size=4), st.lists(st.lists(_CSV_FIELDS, max_size=4), max_size=6))
+    def test_same_bytes_as_csv_writer(self, header, rows):
+        expected, out = io.StringIO(), io.StringIO()
+        writer = csv.writer(expected)
+        for row in (header, *rows):
+            writer.writerow(row)
+        with contextlib.redirect_stdout(out):
+            cli._emit_csv(header, rows)
+        assert out.getvalue() == expected.getvalue()
 
 
 class TestEigenCommand:

@@ -178,6 +178,12 @@ class TestMiles:
                 expected = sum(1 for _ in compositions_brute(k, t))
                 assert miles_number(k, t + k - 1) == expected, (k, t)
 
+    @pytest.mark.parametrize("k,m", [(2, 600), (3, 200), (4, 122), (5, 102), (6, 100), (7, 100)])
+    def test_composition_dp_oracle_large(self, k, m):
+        # the benchmark's sizes and past them, where the memoised partial
+        # sums are reused most
+        assert miles_number(k, m) == composition_count(k, m - k + 1)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             miles_number(1, 3)
@@ -332,6 +338,28 @@ def rational_problem(draw):
 def problem_of(lams, seeds):
     coeffs = CoefficientVector(tuple(F(v) for v in lams))
     return coeffs, extend_seeds(coeffs, F(seeds[0]), tuple(F(v) for v in seeds[1:]))
+
+
+class TestIntegerKernel:
+    """Integral coefficients: a +1 adds, a -1 subtracts, others multiply."""
+
+    @pytest.mark.parametrize(
+        "lams,seeds",
+        [
+            ((1,), ("2/3",)),
+            ((-1,), (5,)),
+            ((-1, -1), (1, "1/2")),
+            ((1, -1, 2, 1), (1, 0, "-1/3", 2)),
+            ((2, 1, 2), (1, 1, 1)),  # one +1 between scaled terms
+            ((1, 1, 1, 1, 1), (1, 0, 0, 0, 0)),
+        ],
+    )
+    def test_equals_fraction_oracle(self, lams, seeds):
+        coeffs, state = problem_of(lams, seeds)
+        n = 3000
+        assert_reduced_and_equal(
+            iterate_sequence(coeffs, state, n).values, fraction_oracle(coeffs, state, n)
+        )
 
 
 class TestRationalKernel:
