@@ -15,7 +15,9 @@ Fraction from such a pair by writing its two slots, with neither a gcd nor
 Fraction's argument dispatch; fractions uses it for ints too.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
 14(1)), k^2 products per squaring against k^3 for a matrix product.
-squarefree decides exactly whether a polynomial has a repeated root, so that
+iterate and companion_sequence, the recurrence's two routes, and mat_vec
+use only exact +, - and *, so they also run unchanged on decimal.Decimal in
+an exact context, as the command line does for integer values. squarefree decides exactly whether a polynomial has a repeated root, so that
 the float root iteration only ever runs on simple roots.
 """
 
@@ -284,6 +286,44 @@ def companion_power(lams, e: int):
     for _ in range(k - 1):
         rows.append(times_x(rows[-1]))
     return rows
+
+
+def iterate(lams, window: list, n: int) -> list:
+    """alpha_0..alpha_n of alpha_{m+1} = sum_i lams[i] alpha_{m-i}, from the
+    window list (alpha_{-(k-1)}, ..., alpha_0), which it extends in place.
+    A step adds the terms of coefficient +1, subtracts those of -1 and
+    multiplies only by the other coefficients, reading its k terms by index
+    from the growing list."""
+    # values holds alpha_{-(k-1)}..alpha_m, so alpha_{m-i+1} is values[-i].
+    values = window
+    plus = [-i for i, c in enumerate(lams, 1) if c == 1]
+    minus = [-i for i, c in enumerate(lams, 1) if c == -1]
+    scaled = [(-i, c) for i, c in enumerate(lams, 1) if c not in (1, -1)]
+    first = plus.pop() if plus else 0  # a +1 term starts the sum, saving an addition to 0
+    for _ in range(n):
+        nxt = values[first] if first else 0
+        for i in plus:
+            nxt += values[i]
+        for i in minus:
+            nxt -= values[i]
+        for i, c in scaled:
+            nxt += c * values[i]
+        values.append(nxt)
+    del values[: len(lams) - 1]
+    return values
+
+
+def companion_sequence(lams, window: list, n: int) -> list:
+    """The same alpha_0..alpha_n as iterate, by companion powers: one power
+    T^k, then the disjoint windows w_{(j+1)k} = T^k w_{jk} from the seed
+    window w_0, O(n k) products."""
+    step = companion_power(lams, len(lams))
+    values = window[-1:]
+    while len(values) <= n:
+        window = mat_vec(step, window)
+        values += window
+    del values[n + 1 :]
+    return values
 
 
 def matrix_char_poly(rows) -> tuple[Fraction, ...]:

@@ -1,21 +1,44 @@
 """Command line interface.
 
 Subcommands: spectrum, sequence, eigen, stochastic, subst (enumerate|grow),
-verify. Exit codes: 0 success, 1 input error, 2 physicality or unitarity
-failure under strict flags, 3 numerical failure. Exact rationals print as
-p/q; floats print with 17 significant digits in text formats and as
-round-trip JSON numbers in json format.
+verify. Exit codes: 0 success, 1 input error (a stdout closed before all
+output was written included), 2 physicality or unitarity failure under
+strict flags, 3 numerical failure. Exact rationals print as p/q; floats
+print with 17 significant digits in text formats and as round-trip JSON
+numbers in json format.
+
+Output costs time linear in its size. When every value is an integer
+(sequence --method direct or matrix with integral coefficients and seed
+window, subst grow --format csv), the library's integer kernels run
+unchanged on decimal.Decimal in an exact context, as str(Decimal) is linear
+in the digits and str(int) quadratic. Table and csv rows are written as
+they are formatted, never joined into one string. The parser is built once
+per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import os
 import sys
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from fractions import Fraction
+from itertools import chain
 
-from . import algebra, spectral, substitution
+from . import _exact, algebra, spectral, substitution
 from .errors import (
     ComputationError,
     FloatRangeError,
@@ -34,6 +57,13 @@ from .recurrence import (
 )
 
 FORMATS = ("table", "csv", "json")
+
+# Integer outputs are computed on Decimals in this context, where + - * are
+# exact at any size (a result that would round traps instead) and str() is
+# linear in the digits, where str(int) is quadratic.
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, Overflow, InvalidOperation]
+)
 
 
 def _rational(value, where: str, error_cls) -> Fraction:
@@ -91,7 +121,7 @@ def _scalar_text(x) -> str:
 def _scalar_json(x):
     if x is None:
         return None
-    if isinstance(x, Fraction):
+    if isinstance(x, (Fraction, Decimal)):
         return str(x)
     return x
 
@@ -101,16 +131,23 @@ def _emit_json(payload) -> None:
 
 
 def _emit_csv(header, rows) -> None:
-    """The bytes csv.writer writes. A row that needs no quoting (no field
-    holds a comma, a quote, CR or LF, and it is not one empty field) is
-    joined directly, which is many times faster for long exact values."""
+    """The bytes csv.writer writes, row by row as rows are produced. A row
+    that needs no quoting (no field holds a comma, a quote, CR or LF, and it
+    is not one empty field) is joined directly, which is many times faster
+    for long exact values; the tests are single-character searches."""
     write = sys.stdout.write
     writer = csv.writer(sys.stdout)
-    for row in (header, *rows):
-        fields = [x if isinstance(x, str) else _scalar_text(x) for x in row]
-        line = ",".join(fields)
-        if line and line.count(",") == len(fields) - 1 and not any(c in line for c in '"\r\n'):
-            write(line + "\r\n")
+    for row in chain((header,), rows):
+        fields = list(map(_scalar_text, row))
+        text = "".join(fields)
+        if (
+            (text or len(fields) > 1)
+            and "," not in text
+            and '"' not in text
+            and "\r" not in text
+            and "\n" not in text
+        ):
+            write(",".join(fields) + "\r\n")
         else:
             writer.writerow(fields)
 
@@ -227,10 +264,10 @@ def _cmd_spectrum(args) -> int:
     elif args.format == "csv":
         _emit_csv(header, rows)
     else:
-        cells = [header, *([_scalar_text(v) for v in r] for r in rows)]
-        widths = [max(map(len, column)) for column in zip(*cells)]
-        for r in cells:
-            print("  ".join(text.ljust(width) for text, width in zip(r, widths)))
+        columns = [list(map(_scalar_text, column)) for column in zip(header, *rows)]
+        # each line is padded as it is written, so no padded copy is held
+        line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in columns) + "\n"
+        sys.stdout.writelines(line.format(*texts) for texts in zip(*columns))
         print(
             f"flags: physical_energy={flags['physical_energy']} "
             f"unitary={flags['unitary']} nondecreasing={flags['nondecreasing']}"
@@ -242,12 +279,29 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_sequence(args) -> int:
-    coeffs = _coeffs_arg(args.coeffs)
-    seeds = _seed_state(coeffs, args.seeds)
-    n = args.n
-    if n < 0:
-        raise InputError("-n must be >= 0")
+def _decimal_inputs(coeffs: CoefficientVector, seeds):
+    """The coefficients and the seed window as Decimals when all are
+    integers, so that every value is; else None."""
+    if any(x.denominator != 1 for x in (*coeffs.values, *seeds.extended)):
+        return None
+    return (
+        [Decimal(x.numerator) for x in coeffs.values],
+        [Decimal(x.numerator) for x in seeds.extended],
+    )
+
+
+def _decimal_sequence(lams, window, n: int, method: str, check: bool):
+    """Values and --check discrepancy of the direct or matrix method by the
+    library's integer kernels, run unchanged on Decimals in _EXACT."""
+    with localcontext(_EXACT):
+        direct = _exact.iterate(lams, list(window), n) if method == "direct" or check else None
+        values = direct if method == "direct" else _exact.companion_sequence(lams, list(window), n)
+        discrepancy = max(abs(v - d) for v, d in zip(values, direct)) if check else None
+    return values, discrepancy
+
+
+def _library_sequence(coeffs, seeds, n: int, args):
+    """Values and --check discrepancy of any method, as the library gives them."""
     method = args.method
     if method == "direct" or args.check:
         direct = iterate_sequence(coeffs, seeds, n).values
@@ -284,23 +338,36 @@ def _cmd_sequence(args) -> int:
             check = max(check, abs(b - ref) / max(1.0, abs(ref)))
     elif args.check:
         check = max((abs(v - d) for v, d in zip(values, direct)), default=Fraction(0))
+    return values, check
+
+
+def _cmd_sequence(args) -> int:
+    coeffs = _coeffs_arg(args.coeffs)
+    seeds = _seed_state(coeffs, args.seeds)
+    n = args.n
+    if n < 0:
+        raise InputError("-n must be >= 0")
+    decimals = _decimal_inputs(coeffs, seeds) if args.method in ("direct", "matrix") else None
+    if decimals is not None:
+        values, check = _decimal_sequence(*decimals, n, args.method, args.check)
+    else:
+        values, check = _library_sequence(coeffs, seeds, n, args)
 
     if args.format == "json":
         payload = {
             "coefficients": [str(v) for v in coeffs.values],
-            "method": method,
+            "method": args.method,
             "values": [_scalar_json(v) for v in values],
         }
         if check is not None:
             payload["max_discrepancy_vs_direct"] = _scalar_json(check)
         _emit_json(payload)
     elif args.format == "csv":
-        _emit_csv(["n", "value"], [[m, v] for m, v in enumerate(values)])
+        _emit_csv(["n", "value"], enumerate(values))
         if check is not None:
             print(f"# max discrepancy vs direct: {_scalar_text(check)}")
     else:
-        for m, v in enumerate(values):
-            print(f"{m}  {_scalar_text(v)}")
+        sys.stdout.writelines(f"{m}  {_scalar_text(v)}\n" for m, v in enumerate(values))
         if check is not None:
             print(f"max discrepancy vs direct: {_scalar_text(check)}")
     return 0
@@ -419,7 +486,13 @@ def _cmd_subst(args) -> int:
 
     # grow
     rule = substitution.parse_rule(args.rule)
-    states = substitution.grow_chain(rule, args.steps, word_cap=args.word_cap)
+    if args.format == "csv":
+        # csv only prints the counts: exact Decimals, printed in linear time
+        with localcontext(_EXACT):
+            states = substitution._grow(rule, args.steps, args.word_cap, Decimal(1))
+    else:
+        # the other formats divide counts by lengths, which needs ints
+        states = substitution.grow_chain(rule, args.steps, word_cap=args.word_cap)
     notes = substitution.chain_notes(rule, states)
     freq = lambda s: [c / s.length for c in s.letter_counts]
     if args.format == "json":
@@ -442,7 +515,7 @@ def _cmd_subst(args) -> int:
     elif args.format == "csv":
         _emit_csv(
             ["step", "length", "word", *(f"count_{a}" for a in rule.letters)],
-            [[s.step, s.length, s.word if s.word is not None else "", *s.letter_counts] for s in states],
+            ([s.step, s.length, s.word if s.word is not None else "", *s.letter_counts] for s in states),
         )
         for note in notes:
             print(f"# {note}")
@@ -580,6 +653,13 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The parser, built on first use and reused by every later main call
+    in the process (parsing leaves no state in it)."""
+    return _build_parser()
+
+
 # argparse takes a value with a leading minus for an option and refuses it
 # unless it looks like a plain negative number, yet accepts the same value
 # joined on ("--coeffs=-1,2"); main joins it. The rational-list flags take
@@ -611,10 +691,20 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        rc = _run(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does.
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        _discard_stdout()
+        return 1
+    return rc
+
+
+def _run(argv: list[str]) -> int:
+    try:
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
     # Exact values print at any size: lift the int-to-str digit limit
@@ -632,6 +722,19 @@ def main(argv=None) -> int:
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)
+
+
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at devnull, so that the
+    interpreter's final flush of what is still buffered cannot fail again.
+    An in-memory stdout (io.StringIO) has no descriptor and nothing to do."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,10 @@ input denominators, with no gcd, and becomes a Fraction by writing its
 reduced pair directly (see _exact.rational_recurrence and _exact.reduced).
 Companion powers with such coefficients stay on Fractions, an independent
 route to check iteration against. Miles' sum computes each of its partial
-sums once (see miles_number) and never uses the recurrence.
+sums once (see miles_number) and never uses the recurrence. The iteration
+and companion loops themselves are _exact.iterate and
+_exact.companion_sequence, which use only exact +, - and *: the command
+line runs them on decimal.Decimal to print integer values in linear time.
 """
 
 from __future__ import annotations
@@ -138,22 +141,7 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
         values = _exact.rational_recurrence(lams, window, n_max)
         if values is not None:
             return ExactSequence(tuple(values), coeffs, seeds)
-    # values holds alpha_{-(k-1)}..alpha_m, so alpha_{m-i+1} is values[-i].
-    values = window
-    plus = [-i for i, c in enumerate(lams, 1) if c == 1]
-    minus = [-i for i, c in enumerate(lams, 1) if c == -1]
-    scaled = [(-i, c) for i, c in enumerate(lams, 1) if c not in (1, -1)]
-    first = plus.pop() if plus else 0  # a +1 term starts the sum, saving an addition to 0
-    for _ in range(n_max):
-        nxt = values[first] if first else 0
-        for i in plus:
-            nxt += values[i]
-        for i in minus:
-            nxt -= values[i]
-        for i, c in scaled:
-            nxt += c * values[i]
-        values.append(nxt)
-    del values[: coeffs.k - 1]
+    values = _exact.iterate(lams, window, n_max)
     return ExactSequence(_exact.fractions(values, d), coeffs, seeds)
 
 
@@ -185,12 +173,8 @@ def matrix_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> 
     in one pass: one power T^k, then the disjoint windows
     w_{(j+1)k} = T^k w_{jk} from the seed window w_0, O(n_max * k) products."""
     d, lams, window = _inputs(coeffs, seeds, n_max, "n_max")
-    step = _exact.companion_power(lams, coeffs.k)
-    values = window[-1:]
-    while len(values) <= n_max:
-        window = _exact.mat_vec(step, window)
-        values += window
-    return ExactSequence(_exact.fractions(values[: n_max + 1], d), coeffs, seeds)
+    values = _exact.companion_sequence(lams, window, n_max)
+    return ExactSequence(_exact.fractions(values, d), coeffs, seeds)
 
 
 def miles_number(k: int, m: int) -> int:

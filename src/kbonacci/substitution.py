@@ -205,16 +205,23 @@ def grow_chain(rule: SubstitutionRule, steps: int, word_cap: int = 10000) -> lis
     Letter counts and lengths are exact integers at every step; the word
     itself is materialized only while its length stays within word_cap.
     """
+    return _grow(rule, steps, word_cap, 1)
+
+
+def _grow(rule: SubstitutionRule, steps: int, word_cap: int, one) -> list[ChainState]:
+    """grow_chain with counts and lengths in the arithmetic of one: 1 for
+    ints, or decimal.Decimal(1) inside an exact decimal context, which the
+    command line uses to print large counts in time linear in their digits."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if word_cap < 1:
         raise ValueError("word_cap must be >= 1")
     k = len(rule.letters)
     # counts(step) = counts(step - 1) . M, i.e. the transpose of M times counts
-    columns = tuple(zip(*abelianization(rule).entries))
-    counts = tuple(1 if i == 0 else 0 for i in range(k))
+    columns = tuple(tuple(one * x for x in col) for col in zip(*abelianization(rule).entries))
+    counts = tuple(one if i == 0 else one * 0 for i in range(k))
     word: Optional[str] = rule.letters[0] if 1 <= word_cap else None
-    states = [ChainState(0, word, counts, 1)]
+    states = [ChainState(0, word, counts, one)]
     for step in range(1, steps + 1):
         counts = tuple(_exact.mat_vec(columns, counts))
         length = sum(counts)

@@ -252,14 +252,16 @@ class TestSequenceCommand:
 
     @pytest.mark.parametrize("method", ["matrix", "miles"])
     def test_direct_iteration_only_when_needed(self, method, monkeypatch, capsys):
+        # The iteration kernel, which both the Decimal route (matrix) and
+        # iterate_sequence (miles) run.
         calls = []
-        real = cli.iterate_sequence
+        real = _exact.iterate
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(cli, "iterate_sequence", counting)
+        monkeypatch.setattr(_exact, "iterate", counting)
         argv = ["sequence", "--coeffs", "1,1,1", "-n", "12", "--method", method]
         assert main(argv) == 0
         assert calls == []
