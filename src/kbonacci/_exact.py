@@ -293,7 +293,8 @@ def iterate(lams, window: list, n: int) -> list:
     window list (alpha_{-(k-1)}, ..., alpha_0), which it extends in place.
     A step adds the terms of coefficient +1, subtracts those of -1 and
     multiplies only by the other coefficients, reading its k terms by index
-    from the growing list."""
+    from the growing list. A sum starts from a value or from int 0, never
+    from a product, so on Decimals no value is -0 (Decimal(-2) * 0 is)."""
     # values holds alpha_{-(k-1)}..alpha_m, so alpha_{m-i+1} is values[-i].
     values = window
     plus = [-i for i, c in enumerate(lams, 1) if c == 1]

@@ -2,7 +2,7 @@
 
 Each case runs main() in-process and compares its exit code and the sha256
 of its stdout and stderr with the digests in cli_golden.json. Spec files
-are written to a scratch directory under relative names, so no path in a
+are written to a temporary directory under relative names, so no path in a
 message depends on where the tests run. For usage errors, whose wording
 argparse changes between Python versions, only the number of "error:"
 lines on stderr is recorded.
