@@ -12,7 +12,8 @@ Fractions, runs on ints too (rational_recurrence): each value's denominator
 is a product of the primes of the input denominators, so tracking their
 exponents keeps every value in lowest terms with no gcd. reduced builds a
 Fraction from such a pair by writing its two slots, with neither a gcd nor
-Fraction's argument dispatch; fractions uses it for ints too.
+Fraction's argument dispatch; fractions writes the slots of a whole
+column of ints the same way, one slot at a time.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
 14(1)), k^2 products per squaring against k^3 for a matrix product.
 iterate and companion_sequence, the recurrence's two routes, and mat_vec
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import lcm, prod
-from operator import add, sub
+from itertools import repeat
+from math import gcd, lcm, prod
+from operator import add, floordiv, sub
 
 
 def as_fraction(value) -> Fraction:
@@ -51,15 +53,32 @@ def same_arithmetic(coefficients, *groups):
     return (d, [c.numerator for c in coefficients], *scaled)
 
 
+_new = object.__new__
+_set_numerator = Fraction._numerator.__set__
+_set_denominator = Fraction._denominator.__set__
+
+
 def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
     """Results of either arithmetic, divided by d, as a tuple of Fractions,
-    without copying the ones that already are."""
-    if d != 1:
-        return tuple(Fraction(x, d) for x in values)
-    return tuple(x if type(x) is Fraction else reduced(x, 1) for x in values)
-
-
-_new = object.__new__
+    without copying the ones that already are. When every value is an int,
+    each is divided by its gcd with d and the reduced pairs are written into
+    new Fractions' slots, as reduced does, one slot at a time for the whole
+    tuple."""
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    if not {int}.issuperset(map(type, values)):
+        if d != 1:
+            return tuple(Fraction(x, d) for x in values)
+        return tuple(x if type(x) is Fraction else reduced(x, 1) for x in values)
+    out = tuple(map(_new, repeat(Fraction, len(values))))
+    if d == 1:
+        numerators, denominators = values, repeat(1)
+    else:
+        g = list(map(gcd, values, repeat(d)))
+        numerators, denominators = map(floordiv, values, g), map(floordiv, repeat(d), g)
+    deque(map(_set_numerator, out, numerators), 0)
+    deque(map(_set_denominator, out, denominators), 0)
+    return out
 
 
 def reduced(numerator: int, denominator: int) -> Fraction:

@@ -25,18 +25,31 @@ of the denominators when the slopes are integral) when every function is
 affine with rational coefficients, or float64 on request. In float64 an
 affine function runs as slope * x + offset in floats and any other one is
 compiled once per call (exprparse.float_evaluator), with the values of
-evaluate at a float argument. A truncation to
-the first dim Fock levels is stored as bands only, its spectrum table: H
-and the J_i are diagonal and the raising operator has one subdiagonal, so
-each defining relation is checked entry by entry on its band, by one
-routine for both arithmetic modes.
+evaluate at a float argument.
+
+spectrum() reads the one recurrence three ways in one pass over the levels,
+the same loop for both modes: it appends each energy alpha_{n+1}^(1) and
+the ladder values alpha_n^(i) to columns, and N_n^2 is the energy column
+less alpha_0^(1). The first-failure levels of the physicality conditions
+come from scans of the energy and N^2 columns afterwards, and each exact
+column becomes Fractions once.
+
+A truncation to the first dim Fock levels is stored as bands only, its
+spectrum table: H and the J_i are diagonal and the raising operator has one
+subdiagonal, so each defining relation is checked entry by entry on its
+band, by one routine for both arithmetic modes. Exact bands run on ints
+wherever the table values and the affine coefficients are integral.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import compress, count, repeat
+from operator import add, lt
 from typing import Callable, Optional, Union
 
 from . import _exact
@@ -145,9 +158,12 @@ class GHASpec:
         return len(self.functions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumRow:
-    """One Fock level: alphas = (alpha_n^(1), ..., alpha_n^(k))."""
+    """One Fock level: alphas = (alpha_n^(1), ..., alpha_n^(k)).
+
+    The fields are slots, which spectrum() writes directly.
+    """
 
     n: int
     alphas: tuple
@@ -194,9 +210,15 @@ def _float_or_exact(value: Fraction):
         return value
 
 
+def _integral(x: Fraction):
+    """x.numerator where x is an integer, else x: exact arithmetic on the
+    int is many times faster and gives the same values."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _evaluators(spec: GHASpec) -> list[Callable]:
     if spec.arithmetic == "exact":
-        return _affine(*zip(*spec.affine_forms))
+        return _affine(*(map(_integral, c) for c in zip(*spec.affine_forms)))
     out = []
     for fn, pair in zip(spec.functions, spec.affine_forms):
         if pair is None:
@@ -224,6 +246,45 @@ def _exact_norm(nsq: Fraction, n: int) -> float:
         raise ComputationError(f"norm N_{n} overflows float64 at level n={n}") from None
 
 
+def _norms(scaled: list, nsq, d: int) -> list[Optional[float]]:
+    """sqrt(N_n^2) as floats, None where N_n^2 < 0, from scaled, the loop's
+    values (d times nsq). x / d of ints is correctly rounded, as
+    float(Fraction) is, so both give the same float. From the first value
+    beyond the float range on, the levels are taken from nsq by _exact_norm,
+    which names the first level whose norm overflows."""
+    norms = []
+    try:
+        if d == 1:
+            norms += (None if x < 0 else math.sqrt(x) for x in scaled)
+        else:
+            norms += (None if x < 0 else math.sqrt(x / d) for x in scaled)
+    except OverflowError:
+        start = len(norms)  # the values before it are kept
+        norms += (None if x < 0 else _exact_norm(x, n) for n, x in enumerate(nsq[start:], start))
+    return norms
+
+
+def _first(flags, start: int = 0) -> Optional[int]:
+    """The level of the first true flag, levels counted from start; None when
+    no flag is true."""
+    return next(compress(count(start), flags), None)
+
+
+_new = object.__new__
+_SLOTS = (SpectrumRow.n, SpectrumRow.alphas, SpectrumRow.nsq, SpectrumRow.norm)
+
+
+def _rows(alphas, nsq, norms) -> tuple[SpectrumRow, ...]:
+    """SpectrumRows n = 0, 1, ... from the columns of their other fields,
+    one field at a time for all rows, written into the new instances' slots
+    directly, as _exact.reduced writes Fraction's: the frozen dataclass
+    __init__ makes four object.__setattr__ calls per row from Python code."""
+    rows = tuple(map(_new, repeat(SpectrumRow, len(nsq))))
+    for slot, column in zip(_SLOTS, (count(), alphas, nsq, norms)):
+        deque(map(slot.__set__, rows, column), 0)
+    return rows
+
+
 def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     """Levels 0..n_max of the Fock spectrum with physicality levels.
 
@@ -232,6 +293,15 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     also computes the next energy; norm is always a float square root (None
     when nsq < 0). ComputationError names the level where a float64 value
     overflows or is not finite, or where a norm is beyond the float64 range.
+
+    One pass over the levels appends alpha_{n+1}^(1) and the ladder values
+    of level n to columns: exact specs run on the ints (or, with
+    non-integral slopes, the Fractions) that _exact.same_arithmetic gives,
+    float64 specs on floats, in the same loop. A float64 level is checked
+    as it is computed, so an error names its level; an exact pass stops
+    early only where a norm is certain to overflow. The first-failure levels
+    are then found by scanning the energy and N^2 columns, each exact column
+    becomes Fractions once, and the rows are built from the columns.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -254,40 +324,49 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         except OverflowError:
             raise ComputationError("float64 overflow at level n=0") from None
         below = [_float_or_exact(v) for v in below]  # arguments of linear float fns only
-    energies = {-m: value for m, value in enumerate(below, start=1)}  # alpha_n^(1) by level n
-    energies[0] = vacuum[0]
-
-    rows = []
-    first_negative_energy = first_negative_norm_sq = first_decrease = None
+    # energies[-i] is alpha_{n-i+1}^(1) at level n, from the seed energies
+    # alpha_{-m} on; ladders holds alpha_n^(2..k) level after level.
+    energies = [*below[::-1], vacuum[0]]
+    ladders, nsq = [], []
+    f1, vacuum0 = fns[0], vacuum[0]
+    ladder_fns = list(zip(range(2, k + 1), fns[1:], vacuum[1:]))
+    # N_n^2 must lie strictly between low and high. A float64 one must be
+    # finite. An exact one at or past 2^2050 (d << 2050 scaled) has a norm of
+    # 2^1025 or more, beyond the float range: the pass stops at that level,
+    # and _norms raises at the first level whose norm overflows.
+    low, high = -math.inf, d << 2050 if exact else math.inf
     for n in range(n_max + 1):
+        # Ladder i holds its vacuum value at n = 0 and until alpha_{n-i+1}
+        # exists, i.e. while i > reach.
+        reach = len(energies) if n else 1
         try:
-            # Ladder i holds its vacuum value until alpha_{n-i+1} exists, and at n = 0.
-            alphas = (energies[n], *(
-                fns[i - 1](energies[n - i + 1]) if n and n - i + 1 in energies else vacuum[i - 1]
-                for i in range(2, k + 1)
-            ))
-            energy = fns[0](alphas[0])
-            for value in alphas[1:]:
-                energy = energy + value
-            nsq = energy - vacuum[0]  # the telescoped third recursion
+            values = [f(energies[-i]) if i <= reach else v for i, f, v in ladder_fns]
+            energy = reduce(add, values, f1(energies[-1]))  # summed left to right
+            square = energy - vacuum0  # the telescoped third recursion
         except OverflowError:
             raise ComputationError(f"float64 overflow at level n={n}") from None
-        if not exact and not all(map(math.isfinite, (*alphas, nsq))):
+        energies.append(energy)
+        ladders += values
+        nsq.append(square)
+        if not low < square < high:
+            if exact:
+                break
+            # alpha_n^(1) passed this check one level earlier, as N_{n-1}^2, and
+            # a non-finite ladder value or energy makes N_n^2 non-finite too.
             raise ComputationError(f"float64 value is not finite at level n={n}")
-        energies[n + 1] = energy
-        if alphas[0] < 0 and first_negative_energy is None:
-            first_negative_energy = n
-        if n and alphas[0] < energies[n - 1] and first_decrease is None:
-            first_decrease = n
-        row = _exact.fractions((*alphas, nsq), d) if exact else (*alphas, nsq)
-        if nsq < 0:
-            norm = None
-            if first_negative_norm_sq is None:
-                first_negative_norm_sq = n
-        else:
-            norm = _exact_norm(row[-1], n) if exact else math.sqrt(nsq)
-        rows.append(SpectrumRow(n, row[:-1], row[-1], norm))
-    return SpectrumTable(tuple(rows), first_negative_energy, first_negative_norm_sq, first_decrease)
+    del energies[: len(below)]
+    energies.pop()  # alpha_{n+1}^(1) of the last level
+    first_negative_energy = _first(map(lt, energies, repeat(0)))
+    first_decrease = _first(map(lt, energies[1:], energies), 1)
+    first_negative_norm_sq = _first(map(lt, nsq, repeat(0)))
+    columns = [energies, *(ladders[i :: k - 1] for i in range(k - 1))]
+    scaled = nsq
+    if exact:
+        columns = [_exact.fractions(column, d) for column in columns]
+        nsq = _exact.fractions(scaled, d)
+    norms = _norms(scaled, nsq, d)
+    rows = _rows(zip(*columns), nsq, norms)
+    return SpectrumTable(rows, first_negative_energy, first_negative_norm_sq, first_decrease)
 
 
 @dataclass(frozen=True)
@@ -379,7 +458,10 @@ def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> Ve
     this relative residual. Exact specs weight raising by N_n^2 and lowering
     by 1, so every entry is a rational product of N_n^2 values times a
     scalar recursion residual and is exactly zero when the recursions hold;
-    float64 specs weight both by N_n.
+    float64 specs weight both by N_n. Exact table values and affine
+    coefficients whose denominator is 1 enter the bands as ints: the band
+    code is the same, and each residual ends in an int/int or Fraction
+    division, both correctly rounded, so the floats are the same.
 
     In float64 the H.raising entry takes its right-hand side from
     math.fsum, correctly rounded, against alpha_{n+1}^(1) as spectrum()
@@ -393,26 +475,31 @@ def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> Ve
     if dim < spec.k:
         raise TruncationTooSmallError(f"dim {dim} below algebra order k={spec.k}")
     rows = ops.table.rows
+    exact = spec.arithmetic == "exact"
     fns = _evaluators(spec)
-    energy = [row.alphas[0] for row in rows]
+    alphas = list(zip(*(row.alphas for row in rows)))  # alphas[i - 1][n] = alpha_n^(i)
     # squares[n] = (lowering.raising)[n, n] = N_n^2 under either weighting.
-    if spec.arithmetic == "exact":
-        up = squares = [row.nsq for row in rows[:-1]]
+    if exact:
+        # Integral values run as ints: a residual is a quotient of exact
+        # values, correctly rounded from ints as from Fractions.
+        alphas = [list(map(_integral, column)) for column in alphas]
+        up = squares = [_integral(row.nsq) for row in rows[:-1]]
     else:
         up = [row.norm for row in rows[:-1]]
         squares = [x * x for x in up]
+    energy = alphas[0]
     # f_1(H) + sum J_i on the diagonal, summed in spectrum()'s order, and
     # for the float64 H.raising band correctly rounded.
-    terms = [(fns[0](row.alphas[0]), *row.alphas[1:]) for row in rows]
+    terms = list(zip(map(fns[0], energy), *alphas[1:]))
     rhs = [sum(t[1:], t[0]) for t in terms]
-    summed = rhs if spec.arithmetic == "exact" else list(map(math.fsum, terms))
+    summed = rhs if exact else list(map(math.fsum, terms))
     band = ((up[n], energy[n + 1], summed[n]) for n in range(dim - 1))
     entries = [_band_residual("H.raising", band, tol)]
     power = [1] * dim  # power[n] is raising^(i-1) at (n+i-1, n), from i = 1
     for i in range(2, spec.k + 1):
         power = [p * up[n] for n, p in enumerate(power[1:])]
         f = fns[i - 1]
-        band = ((p, rows[n + i - 1].alphas[i - 1], f(energy[n])) for n, p in enumerate(power))
+        band = ((p, alphas[i - 1][n + i - 1], f(energy[n])) for n, p in enumerate(power))
         entries.append(_band_residual(f"J{i}.raising^{i - 1}", band, tol))
     band = []
     for n in range(dim - 1):

@@ -406,7 +406,9 @@ def _cmd_eigen(args) -> int:
                 "roots": [{"re": r.real, "im": r.imag} for r in roots.roots],
                 "dominant_index": roots.dominant,
                 "dominant": {"re": dom.real, "im": dom.imag},
-                "min_separation": roots.condition,
+                # A single root has no pair: RootSet.condition is inf, which
+                # strict JSON cannot encode.
+                "min_separation": roots.condition if len(roots.roots) > 1 else None,
             }
         )
     elif args.format == "csv":

@@ -44,6 +44,11 @@ def check_reduced(exact, rng, cases=2000):
             assert value / other == expected / other
     values = exact.fractions([0, 7, -3, Fraction(1, 3)])
     assert values == (0, 7, -3, Fraction(1, 3)) and all(type(v) is Fraction for v in values)
+    for d in (1, 6):
+        ints = [0, 7, -3, 12, -(1 << 90)]
+        values = exact.fractions(ints, d)
+        assert values == tuple(Fraction(x, d) for x in ints) and all(type(v) is Fraction for v in values)
+        assert [hash(v) for v in values] == [hash(Fraction(x, d)) for x in ints]
 
 
 def fraction_loop(lams, window, n):

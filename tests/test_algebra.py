@@ -17,11 +17,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kbonacci import (
     AffineFunction,
     CoefficientVector,
+    ComputationError,
     ExactModeUnavailableError,
     ExpressionFunction,
     GHASpec,
@@ -36,7 +37,8 @@ from kbonacci import (
     truncated_operators,
     verify_relations,
 )
-from kbonacci.exprparse import parse
+from kbonacci import _exact, algebra
+from kbonacci.exprparse import float_evaluator, parse
 
 
 def linear_spec(lams, vacuum, arithmetic="exact"):
@@ -233,6 +235,154 @@ class TestSpectrumIntegerPath:
         fns = tuple(AffineFunction(F(a), F(b)) for a, b in zip(slopes, offsets))
         spec = GHASpec(functions=fns, vacuum=tuple(F(v) for v in vacuum))
         assert assert_matches_fraction_oracle(spec, 12) == levels
+
+
+def float_spectrum(spec, n_max):
+    """The float64 spectrum loop as it ran level by level before the column
+    pass: rows as (alphas, nsq, norm) plus the first negative-energy,
+    negative-N^2 and decrease levels. Affine functions run as
+    slope * x + offset in floats, where a coefficient beyond the float range
+    stays a Fraction so that float arithmetic with it raises OverflowError;
+    other functions run through float_evaluator. Raises ComputationError as
+    the library documents it, at the same level."""
+
+    def float_or_exact(value):
+        try:
+            return float(value)
+        except OverflowError:
+            return value
+
+    def affine(a, b):
+        return lambda x: a * x + b
+
+    fns = []
+    for fn, pair in zip(spec.functions, spec.affine_forms):
+        fns.append(float_evaluator(fn.node) if pair is None else affine(*map(float_or_exact, pair)))
+    k = spec.k
+    forms = spec.affine_forms
+    linear = all(form is not None and form[0] != 0 and form[1] == 0 for form in forms)
+    below = [spec.vacuum[m] / forms[m][0] for m in range(1, k)] if linear else []
+    try:
+        vacuum = [float(v) for v in spec.vacuum]
+    except OverflowError:
+        raise ComputationError("float64 overflow at level n=0") from None
+    energies = {-m: float_or_exact(v) for m, v in enumerate(below, start=1)}
+    energies[0] = vacuum[0]
+    rows = []
+    first_energy = first_nsq = first_decrease = None
+    for n in range(n_max + 1):
+        try:
+            alphas = (energies[n], *(
+                fns[i - 1](energies[n - i + 1]) if n and n - i + 1 in energies else vacuum[i - 1]
+                for i in range(2, k + 1)
+            ))
+            energy = fns[0](alphas[0])
+            for value in alphas[1:]:
+                energy = energy + value
+            nsq = energy - vacuum[0]
+        except OverflowError:
+            raise ComputationError(f"float64 overflow at level n={n}") from None
+        if not all(map(math.isfinite, (*alphas, nsq))):
+            raise ComputationError(f"float64 value is not finite at level n={n}")
+        energies[n + 1] = energy
+        if alphas[0] < 0 and first_energy is None:
+            first_energy = n
+        if n and alphas[0] < energies[n - 1] and first_decrease is None:
+            first_decrease = n
+        if nsq < 0 and first_nsq is None:
+            first_nsq = n
+        rows.append((alphas, nsq, None if nsq < 0 else math.sqrt(nsq)))
+    return rows, (first_energy, first_nsq, first_decrease)
+
+
+def spectrum_outcome(run):
+    """repr of rows and first-failure levels, or the ComputationError's
+    class and text (which names the level); repr tells floats apart bit for
+    bit, signed zeros included."""
+    try:
+        rows, levels = run()
+    except ComputationError as err:
+        return type(err).__name__, str(err)
+    return repr(rows), levels
+
+
+def library_outcome(spec, n_max):
+    def run():
+        table = spectrum(spec, n_max)
+        levels = (table.first_negative_energy, table.first_negative_norm_sq, table.first_decrease)
+        return [(row.alphas, row.nsq, row.norm) for row in table.rows], levels
+
+    return run
+
+
+# Coefficients and vacuum values: mostly small rationals, one in eight a
+# magnitude past the float range, near its top, or below its smallest
+# subnormal.
+float_coefficient = st.one_of(
+    *[st.fractions(min_value=-3, max_value=3, max_denominator=6)] * 7,
+    st.sampled_from([F(10) ** 400, -F(10) ** 400, F(1, 10**400), F(10) ** 300, F(10) ** 308]),
+)
+EXPRESSIONS = [
+    "x^2+1", "x+1/(x+1)", "x/(x+2)", "1/(x-1)", "3*x/(x+1)+1", "x^3-2*x", "(x+1)/(x+2)+x",
+    "10^400*x", "x/10^400", "10^308*x^2", "1/x", "x^2/(x+3)+1",
+]
+
+
+@st.composite
+def float_spec(draw):
+    """Float64 specs, affine (linear or with offsets) or with expression
+    functions, among them ones that overflow, turn non-finite or divide by
+    zero within a few levels."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    offsets = draw(st.booleans())
+    fns = []
+    for _ in range(k):
+        if draw(st.integers(0, 2)) == 0:
+            fns.append(ExpressionFunction(parse(draw(st.sampled_from(EXPRESSIONS)))))
+        else:
+            slope = draw(float_coefficient)
+            fns.append(AffineFunction(slope, draw(float_coefficient) if offsets else F(0)))
+    vacuum = draw(st.lists(float_coefficient, min_size=k, max_size=k))
+    return GHASpec(functions=tuple(fns), vacuum=tuple(vacuum), arithmetic="float64")
+
+
+class TestSpectrumFloatOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(float_spec(), st.integers(min_value=0, max_value=80))
+    @example(linear_spec((1, 1), (1, 0), "float64"), 1500)  # not finite at n=1475
+    @example(linear_spec((F(1, 10**400), 1), (1, 1), "float64"), 3)  # seed energy beyond range
+    @example(linear_spec((10**400, 1), (1, 0), "float64"), 3)  # slope beyond range
+    @example(linear_spec((2,), (10**400,), "float64"), 3)  # vacuum beyond range
+    @example(
+        GHASpec((ExpressionFunction(parse("x^2+1")),), (F(0),), arithmetic="float64"), 20
+    )  # x^2 overflows
+    def test_matches_level_by_level_loop(self, spec, n_max):
+        want = spectrum_outcome(lambda: float_spectrum(spec, n_max))
+        assert spectrum_outcome(library_outcome(spec, n_max)) == want
+
+
+class TestExactNormOverflow:
+    def test_pass_stops_at_the_first_overflowing_norm(self, monkeypatch):
+        # N_n^2 gains about 100 bits a level, so the norm leaves the float
+        # range near level 20. The pass must stop there, not run on to n_max
+        # with ever larger values, and name the same level as a short run.
+        spec = linear_spec((10**30, 1), (1, 0))
+        with pytest.raises(ComputationError) as short:
+            spectrum(spec, 60)
+        lengths = []
+        fractions = _exact.fractions
+
+        def spy(values, d=1):
+            values = list(values)
+            lengths.append(len(values))
+            return fractions(values, d)
+
+        monkeypatch.setattr(_exact, "fractions", spy)
+        with pytest.raises(ComputationError) as long:
+            spectrum(spec, 2000)
+        assert str(long.value) == str(short.value)
+        assert str(short.value).startswith("norm N_")
+        assert lengths and max(lengths) <= 60
 
 
 class TestSpectrumValues:
@@ -554,3 +704,80 @@ class TestDenseOracle:
             for entry in report.entries:
                 want = pytest.approx(oracle[entry.label], rel=1e-12, abs=1e-15)
                 assert entry.residual == want, (m, entry.label)
+
+
+def fraction_band_report(ops, spec, tol=1e-10):
+    """The exact band residuals of verify_relations, written out on
+    Fractions: (label, residual, passed) per relation.
+
+    Exact specs weight raising by N_n^2 and lowering by 1. An entry
+    weight*lhs - weight*rhs with further terms parts has residual
+    |weight| |lhs - rhs| / max(1, |weight| * largest |term|), converted to a
+    float once."""
+    rows = ops.table.rows
+    fns = [lambda x, a=a, b=b: a * x + b for a, b in spec.affine_forms]
+    energy = [F(row.alphas[0]) for row in rows]
+    nsq = [F(row.nsq) for row in rows]
+    sums = [sum(map(F, row.alphas[1:]), fns[0](F(row.alphas[0]))) for row in rows]
+
+    def worst(entries):
+        out = 0.0
+        for weight, lhs, rhs, *parts in entries:
+            diff = abs(lhs - rhs)
+            if diff:
+                scale = max(abs(lhs), abs(rhs), *map(abs, parts))
+                weight = abs(weight)
+                out = max(out, float(diff / scale if weight * scale > 1 else weight * diff))
+        return out
+
+    dim = ops.dim
+    report = [("H.raising", worst((nsq[n], energy[n + 1], sums[n]) for n in range(dim - 1)))]
+    for i in range(2, spec.k + 1):
+        band = []
+        for n in range(dim - i + 1):
+            weight = math.prod(nsq[n : n + i - 1])
+            band.append((weight, F(rows[n + i - 1].alphas[i - 1]), fns[i - 1](energy[n])))
+        report.append((f"J{i}.raising^{i - 1}", worst(band)))
+    band = []
+    for n in range(dim - 1):
+        raised = nsq[n - 1] if n else F(0)
+        band.append((1, nsq[n] - raised, sums[n] - energy[n], nsq[n], raised, sums[n], energy[n]))
+    report.append(("[lowering,raising]", worst(band)))
+    report += [("[H,Ji]", 0.0), ("[Ji,Jj]", 0.0)]
+    return [(label, r, r <= tol) for label, r in report]
+
+
+class TestExactBandsOnBrokenTables:
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    @pytest.mark.parametrize("bump", [F(1, 3), F(2)], ids=["third", "integer"])
+    def test_band_sees_what_fractions_see(self, spec, bump):
+        # The exact twin of test_band_sees_what_dense_sees: verify_relations
+        # runs integral values as ints, and a level bumped by 1/3 mixes ints
+        # with Fractions. Every residual must be the Fraction evaluation's
+        # float, bit for bit.
+        ops = truncated_operators(spec, max(spec.k + 2, 9))
+        rows = ops.table.rows
+        for m, row in enumerate(rows):
+            nsq = row.nsq + bump
+            bumped = SpectrumRow(m, tuple(a + bump for a in row.alphas), nsq, math.sqrt(nsq))
+            table = replace(ops.table, rows=rows[:m] + (bumped,) + rows[m + 1 :])
+            broken = TruncatedOps(ops.dim, table)
+            report = verify_relations(broken, spec)
+            got = [(e.label, e.residual, e.passed) for e in report.entries]
+            assert repr(got) == repr(fraction_band_report(broken, spec)), m
+            assert not report.all_passed, m
+
+    def test_integral_table_runs_on_ints(self, monkeypatch):
+        # The integral Fibonacci table reaches the band code as ints only.
+        seen = set()
+        band_residual = algebra._band_residual
+
+        def spy(label, entries, tol):
+            entries = list(entries)
+            seen.update(type(x) for entry in entries for x in entry)
+            return band_residual(label, entries, tol)
+
+        monkeypatch.setattr(algebra, "_band_residual", spy)
+        spec = linear_spec((1, 1), (1, 0))
+        assert verify_relations(truncated_operators(spec, 30), spec).all_passed
+        assert seen == {int}

@@ -210,3 +210,54 @@ class TestClosedPipe:
         assert proc.wait() == 1
         assert head[0].startswith(first)
         assert err == CLOSED
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+_SPECS = {
+    "exact.json": {"k": 3, "linear": ["1", "1", "1"], "vacuum": ["1", "0", "0"], "n_max": 12},
+    "float.json": {
+        "k": 2, "functions": ["x+1/(x+1)", "x/(x+2)"], "vacuum": ["1", "0"],
+        "n_max": 12, "arithmetic": "float64",
+    },
+}
+
+
+class TestStrictJson:
+    """Every --format json output parses under a reader that refuses
+    NaN, Infinity and -Infinity, which strict JSON does not have."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["eigen", "--coeffs", ",".join(["1"] * k)] for k in range(1, 6)),
+            ["eigen", "--coeffs", "2"],
+            ["stochastic", "--coeffs", "1/7,2/7,4/7"],
+            *(["sequence", "--coeffs", "1,1,1", "-n", "12", "--method", m, "--check"]
+              for m in ("direct", "matrix", "miles", "binet")),
+            ["sequence", "--coeffs", "1/2,1/3", "-n", "12"],
+            ["spectrum", "exact.json"],
+            ["spectrum", "float.json"],
+            ["verify", "exact.json", "--dim", "8"],
+            ["verify", "float.json", "--dim", "8"],
+            ["subst", "enumerate", "--coeffs", "2,1,2"],
+            ["subst", "grow", "--rule", "A:AB,B:A", "--steps", "8"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_parses(self, argv, tmp_path, monkeypatch):
+        for name, spec in _SPECS.items():
+            (tmp_path / name).write_text(json.dumps(spec))
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run([*argv, "--format", "json"])
+        assert rc == 0, err
+        json.loads(out, parse_constant=_refuse_constant)
+
+    def test_one_root_has_no_separation(self):
+        rc, out, _ = run(["eigen", "--coeffs", "2", "--format", "json"])
+        assert rc == 0
+        data = json.loads(out, parse_constant=_refuse_constant)
+        assert data["min_separation"] is None
+        assert data["roots"] == [{"re": 2.0, "im": 0.0}]

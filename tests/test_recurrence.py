@@ -467,3 +467,16 @@ class TestReduced:
         assert all(type(v) is F for v in values)
         assert values == tuple(F(v) / d for v in (0, -4, 12, F(3, 7)))
         assert [hash(v) for v in values] == [hash(F(v) / d) for v in (0, -4, 12, F(3, 7))]
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-(1 << 200), max_value=1 << 200), max_size=12),
+        st.sampled_from([1, 2, 6, 35, 1 << 70]),
+    )
+    def test_fractions_of_ints(self, values, d):
+        # All-int columns are reduced by gcd and written into slots in bulk.
+        got = _exact.fractions(values, d)
+        want = tuple(F(x, d) for x in values)
+        assert type(got) is tuple and all(type(v) is F for v in got)
+        assert [(v.numerator, v.denominator) for v in got] == [(v.numerator, v.denominator) for v in want]
+        assert got == want and list(map(hash, got)) == list(map(hash, want))
