@@ -5,9 +5,12 @@ coupled recursions iterated with plain Fractions, no library calls. Library
 results must match it entry for entry before anything else is trusted.
 Both it and fraction_spectrum keep the running N^2 sum of the third
 recursion, independent of the library's telescoped
-N_n^2 = alpha_{n+1} - alpha_0. The relation oracle, dense_residuals, builds
-dense float64 matrices from a truncation's spectrum table, multiplies them,
-and must agree with the band residuals of verify_relations.
+N_n^2 = alpha_{n+1} - alpha_0. float_spectrum is the float64 loop as it ran
+level by level, and the column pass must match it bit for bit, errors
+included. The relation oracle, dense_residuals, builds dense float64
+matrices from a truncation's spectrum table, multiplies them, and must
+agree with the band residuals of verify_relations; fraction_band_report
+evaluates the exact band formulas on Fractions.
 """
 
 import math
