@@ -18,8 +18,9 @@ Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
 14(1)), k^2 products per squaring against k^3 for a matrix product.
 iterate and companion_sequence, the recurrence's two routes, and mat_vec
 use only exact +, - and *, so they also run unchanged on decimal.Decimal in
-an exact context, as the command line does for integer values. squarefree decides exactly whether a polynomial has a repeated root, so that
-the float root iteration only ever runs on simple roots.
+an exact context, as the command line does for integer values. squarefree
+decides exactly whether a polynomial has a repeated root, so that the
+float root iteration only ever runs on simple roots.
 """
 
 from __future__ import annotations

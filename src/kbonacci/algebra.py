@@ -16,8 +16,8 @@ shifted by one level, and spectrum() evaluates each level function once
 per level.
 
 When every level function is purely linear, negative-index arguments of the
-second recursion come from the seed convention
-alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}; otherwise the first i-2 rows of
+second recursion come from the recurrence's seed window (extend_seeds:
+alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}); otherwise the first i-2 rows of
 ladder i hold the vacuum value until the argument index is nonnegative.
 
 Arithmetic is exact (Fraction results, computed on ints scaled by the lcm
@@ -60,7 +60,7 @@ from .errors import (
     TruncationTooSmallError,
 )
 from .exprparse import ExprNode, as_affine, evaluate, float_evaluator
-from .recurrence import CoefficientVector
+from .recurrence import CoefficientVector, extend_seeds
 
 __all__ = [
     "AffineFunction",
@@ -308,10 +308,11 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     k = spec.k
     exact = spec.arithmetic == "exact"
     forms = spec.affine_forms
-    # Seed convention: alpha_{-m} = alpha_0^(m+1) / lambda_{m+1}, m = 1..k-1,
-    # when every f_i is lambda_i * x with lambda_i != 0.
-    linear = all(form is not None and form[0] != 0 and form[1] == 0 for form in forms)
-    below = [spec.vacuum[m] / forms[m][0] for m in range(1, k)] if linear else []
+    # A linear spec's energies below level 0 are the recurrence's seed window.
+    below = ()
+    if all(form is not None and form[0] != 0 and form[1] == 0 for form in forms):
+        coeffs = CoefficientVector(tuple(form[0] for form in forms))
+        below = extend_seeds(coeffs, spec.vacuum[0], spec.vacuum[1:]).extended[:-1]
     if exact:
         # With integral slopes the loop runs on ints, every value d times the true one.
         slope, offset = zip(*forms)
@@ -326,7 +327,7 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         below = [_float_or_exact(v) for v in below]  # arguments of linear float fns only
     # energies[-i] is alpha_{n-i+1}^(1) at level n, from the seed energies
     # alpha_{-m} on; ladders holds alpha_n^(2..k) level after level.
-    energies = [*below[::-1], vacuum[0]]
+    energies = [*below, vacuum[0]]
     ladders, nsq = [], []
     f1, vacuum0 = fns[0], vacuum[0]
     ladder_fns = list(zip(range(2, k + 1), fns[1:], vacuum[1:]))
@@ -491,7 +492,7 @@ def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> Ve
     # f_1(H) + sum J_i on the diagonal, summed in spectrum()'s order, and
     # for the float64 H.raising band correctly rounded.
     terms = list(zip(map(fns[0], energy), *alphas[1:]))
-    rhs = [sum(t[1:], t[0]) for t in terms]
+    rhs = [reduce(add, t) for t in terms]
     summed = rhs if exact else list(map(math.fsum, terms))
     band = ((up[n], energy[n + 1], summed[n]) for n in range(dim - 1))
     entries = [_band_residual("H.raising", band, tol)]

@@ -16,18 +16,17 @@ characteristic polynomial as the companion matrix.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional
 
-import numpy as np
-
 from . import _exact
 from .errors import NonIntegralCoefficientsError, RuleFormatError
 from .recurrence import CoefficientVector
-from .spectral import MixedStateMatrix
+from .spectral import MixedStateMatrix, char_poly, find_roots
 
 __all__ = [
     "RuleSpec",
@@ -268,9 +267,12 @@ def growth_law_check(rule: SubstitutionRule, steps: int) -> GrowthReport:
     """Check the length recurrence and, for long chains, letter frequencies.
 
     Lengths must satisfy length(n+1) = sum_i lambda_i length(n-i+1) exactly
-    for every n >= k. If the final length exceeds 10^4 the letter frequency
-    vector is compared (max deviation 0.05) against the normalized dominant
-    left eigenvector of the abelianization matrix.
+    for every n >= k. If the final length exceeds 10^4 the letter frequencies,
+    exact counts over exact length, are compared (max deviation 0.05) with the
+    normalized dominant left eigenvector v of the MixedStateMatrix, which
+    rule_coefficients proved equal to the abelianization. With r the dominant
+    root from find_roots, vM = r v gives v_k = v_1 / r and, by back-substitution
+    from v_1 = 1, v_j = (v_1 + q_{j+1} v_{j+1}) / r for j = k-1..2.
     """
     lams = rule_coefficients(rule)
     k = len(lams)
@@ -283,27 +285,22 @@ def growth_law_check(rule: SubstitutionRule, steps: int) -> GrowthReport:
         predicted = sum(lams[i - 1] * lengths[n - i + 1] for i in range(1, k + 1))
         if lengths[n + 1] != predicted:
             violations.append(n)
-    freq_checked = False
-    freq_dev = None
-    dom_freq = None
+    freq_dev = dom_freq = None
     if lengths[-1] > 10**4:
-        freq_checked = True
-        mat = np.array(abelianization(rule).entries, dtype=float)
-        eigvals, eigvecs = np.linalg.eig(mat.T)
-        idx = int(np.argmax(np.abs(eigvals)))
-        vec = np.real(eigvecs[:, idx])
-        if vec.sum() < 0:
-            vec = -vec
-        vec = vec / vec.sum()
-        dom_freq = tuple(float(v) for v in vec)
+        r = find_roots(char_poly(CoefficientVector(lams))).roots[0].real
+        tail = [1.0 / r] if k > 1 else []  # v_k, then v_{k-1} down to v_2
+        for j in range(k - 1, 1, -1):
+            tail.append((1.0 + lams[j] // lams[j - 1] * tail[-1]) / r)
+        vec = [1.0, *reversed(tail)]
+        total = math.fsum(vec)
+        dom_freq = tuple(v / total for v in vec)
         final = states[-1]
-        freqs = np.array(final.letter_counts, dtype=float) / final.length
-        freq_dev = float(np.max(np.abs(freqs - vec)))
+        freq_dev = max(abs(c / final.length - v) for c, v in zip(final.letter_counts, dom_freq))
     return GrowthReport(
         lengths=lengths,
         recurrence_ok=not violations,
         violations=tuple(violations),
-        frequency_checked=freq_checked,
+        frequency_checked=dom_freq is not None,
         frequency_deviation=freq_dev,
         dominant_frequencies=dom_freq,
     )

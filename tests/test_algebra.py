@@ -618,6 +618,30 @@ class TestVerify:
         report = verify_relations(truncated_operators(spec, 12), spec)
         assert report.entries[0].residual == 0
 
+    def test_float_commutator_sums_left_to_right(self):
+        # From CPython 3.12, sum() adds floats with compensation. The band
+        # adds f_1(alpha_n) + sum_i alpha_n^(i) left to right, as spectrum()
+        # does, so this residual is the same on every interpreter.
+        texts = ("x + 1/(x+1)", "x/3", "x/7", "x/11")
+        fns = tuple(ExpressionFunction(parse(t)) for t in texts)
+        vacuum = (F(1, 10), F(1, 5), F(1, 3), F(2, 7))
+        spec = GHASpec(functions=fns, vacuum=vacuum, arithmetic="float64")
+        ops = truncated_operators(spec, 40)
+        f1 = float_evaluator(fns[0].node)
+        squares = [row.norm * row.norm for row in ops.table.rows[:-1]]
+        worst = 0.0
+        for n, row in enumerate(ops.table.rows[:-1]):
+            energy, *ladders = row.alphas
+            rhs = f1(energy)
+            for value in ladders:
+                rhs = rhs + value
+            raised = squares[n - 1] if n else 0.0
+            lhs = squares[n] - raised
+            terms = (lhs, rhs - energy, squares[n], raised, rhs, energy)
+            worst = max(worst, abs(lhs - (rhs - energy)) / max(1.0, *map(abs, terms)))
+        (entry,) = [e for e in verify_relations(ops, spec).entries if e.label == "[lowering,raising]"]
+        assert entry.residual == worst == 3.3039065911324975e-16
+
     def test_float_fibonacci_passes_at_large_dim(self):
         # Round-off in sqrt(N^2)^2 grows with N^2; the relative residual does not.
         spec = linear_spec((1, 1), (1, 0), "float64")

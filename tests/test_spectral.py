@@ -6,8 +6,10 @@ discriminant and mpmath-refined roots for find_roots, and exact iteration for
 every closed-form comparison.
 """
 
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -467,3 +469,19 @@ class TestStochastic:
         for r in range(k):
             assert sum(rows[col][r] * pi[col] for col in range(k)) == pi[r]
         assert rep.dominant_gap is not None and rep.dominant_gap < 1e-12
+
+
+def test_numpy_imported_only_by_spectral():
+    # Only binet_form's linear solve needs numpy; no other module imports it.
+    importers = set()
+    for path in Path(spectral.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"spectral.py"}

@@ -8,6 +8,7 @@ actually counting letters in materialized words.
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -208,6 +209,26 @@ class TestGrowthLaw:
         golden = (5**0.5 - 1) / 2
         assert rep.dominant_frequencies[0] == pytest.approx(golden, abs=1e-6)
         assert rep.dominant_frequencies[1] == pytest.approx(1 - golden, abs=1e-6)
+
+    @given(st.data())
+    def test_frequencies_match_eig(self, data):
+        # Canonical rules with k <= 5, lambda_1, lambda_2 <= 4 and quotients
+        # <= 3: the back-substituted Perron vector against numpy's eig.
+        k = data.draw(st.integers(2, 5))
+        lams = [data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))]
+        while len(lams) < k:
+            lams.append(lams[-1] * data.draw(st.integers(1, 3)))
+        rule = data.draw(st.sampled_from(enumerate_rules(coeffs_of(*lams))))
+        rep = growth_law_check(rule, 30)
+        assert rep.recurrence_ok and rep.frequency_checked
+        mat = np.array(abelianization(rule).entries, dtype=float)
+        eigvals, eigvecs = np.linalg.eig(mat.T)
+        vec = np.real(eigvecs[:, np.argmax(np.abs(eigvals))])
+        vec /= vec.sum()
+        assert np.max(np.abs(vec - rep.dominant_frequencies)) <= 1e-12
+        final = grow_chain(rule, 30, word_cap=1)[-1]
+        deviations = [abs(c / final.length - v) for c, v in zip(final.letter_counts, rep.dominant_frequencies)]
+        assert rep.frequency_deviation == max(deviations) <= 0.05
 
     def test_short_run_skips_frequencies(self):
         rep = growth_law_check(parse_rule(ABAC_RULE), 6)
