@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 from . import _exact
 from .errors import NonIntegralCoefficientsError, RuleFormatError
 from .recurrence import CoefficientVector
-from .spectral import MixedStateMatrix, char_poly, find_roots
+from .spectral import MixedStateMatrix
 
 __all__ = [
     "RuleSpec",
@@ -270,9 +270,10 @@ def growth_law_check(rule: SubstitutionRule, steps: int) -> GrowthReport:
     for every n >= k. If the final length exceeds 10^4 the letter frequencies,
     exact counts over exact length, are compared (max deviation 0.05) with the
     normalized dominant left eigenvector v of the MixedStateMatrix, which
-    rule_coefficients proved equal to the abelianization. With r the dominant
-    root from find_roots, vM = r v gives v_k = v_1 / r and, by back-substitution
-    from v_1 = 1, v_j = (v_1 + q_{j+1} v_{j+1}) / r for j = k-1..2.
+    rule_coefficients proved equal to the abelianization: vM = r v, r the
+    simple dominant root. Newton descends from y = 1/lambda_1 onto y = 1/r,
+    the one positive root of P(y) = y h_1 = 1, h_j = lambda_j + y h_{j+1}
+    (Horner). Back-substitution from v_1 = 1 gives v_j = y h_j / lambda_j.
     """
     lams = rule_coefficients(rule)
     k = len(lams)
@@ -287,13 +288,16 @@ def growth_law_check(rule: SubstitutionRule, steps: int) -> GrowthReport:
             violations.append(n)
     freq_dev = dom_freq = None
     if lengths[-1] > 10**4:
-        r = find_roots(char_poly(CoefficientVector(lams))).roots[0].real
-        tail = [1.0 / r] if k > 1 else []  # v_k, then v_{k-1} down to v_2
-        for j in range(k - 1, 1, -1):
-            tail.append((1.0 + lams[j] // lams[j - 1] * tail[-1]) / r)
-        vec = [1.0, *reversed(tail)]
+        y, prev = 1.0 / lams[0], math.inf
+        while y < prev:  # until y stops descending; vec is then v_k..v_1 over y
+            h, dh, vec = 0.0, 0.0, []
+            for c in reversed(lams):
+                h, dh = c + y * h, h + y * dh
+                vec.append(h / c)
+            prev, y = y, y - max((y * h - 1.0) / (h + y * dh), 0.0)
+        vec[-1] = h
         total = math.fsum(vec)
-        dom_freq = tuple(v / total for v in vec)
+        dom_freq = tuple(v / total for v in reversed(vec))
         final = states[-1]
         freq_dev = max(abs(c / final.length - v) for c, v in zip(final.letter_counts, dom_freq))
     return GrowthReport(

@@ -36,6 +36,13 @@ def coeffs_of(*vals):
     return CoefficientVector(tuple(F(v) for v in vals))
 
 
+def eig_frequencies(rule):
+    """Normalized dominant left eigenvector of the abelianization, by numpy's eig."""
+    eigvals, eigvecs = np.linalg.eig(np.array(abelianization(rule).entries, dtype=float).T)
+    vec = np.real(eigvecs[:, np.argmax(np.abs(eigvals))])
+    return vec / vec.sum()
+
+
 # Natural vectors with integral quotients, k = 1..4.
 CANONICAL_VECTORS = [
     (1,), (3,), (1, 1), (2, 3), (2, 1, 2), (1, 1, 1), (1, 2, 6), (2, 1, 1, 3), (1, 2, 2, 4),
@@ -221,14 +228,19 @@ class TestGrowthLaw:
         rule = data.draw(st.sampled_from(enumerate_rules(coeffs_of(*lams))))
         rep = growth_law_check(rule, 30)
         assert rep.recurrence_ok and rep.frequency_checked
-        mat = np.array(abelianization(rule).entries, dtype=float)
-        eigvals, eigvecs = np.linalg.eig(mat.T)
-        vec = np.real(eigvecs[:, np.argmax(np.abs(eigvals))])
-        vec /= vec.sum()
-        assert np.max(np.abs(vec - rep.dominant_frequencies)) <= 1e-12
+        assert np.max(np.abs(eig_frequencies(rule) - rep.dominant_frequencies)) <= 1e-12
         final = grow_chain(rule, 30, word_cap=1)[-1]
         deviations = [abs(c / final.length - v) for c, v in zip(final.letter_counts, rep.dominant_frequencies)]
         assert rep.frequency_deviation == max(deviations) <= 0.05
+
+    def test_frequencies_beside_a_repeated_root(self):
+        # x^3 - 5x^2 - 125x - 375 = (x - 15)(x + 5)^2: the dominant root 15
+        # is simple, so the frequencies exist although -5 repeats.
+        rule = parse_rule("A:AAAAABC,B:" + "A" * 125 + ",C:BBB")
+        rep = growth_law_check(rule, 6)
+        assert rep.recurrence_ok and rep.frequency_checked
+        assert np.max(np.abs(eig_frequencies(rule) - rep.dominant_frequencies)) <= 1e-12
+        assert rep.dominant_frequencies == pytest.approx((75 / 86, 6 / 86, 5 / 86), abs=1e-15)
 
     def test_short_run_skips_frequencies(self):
         rep = growth_law_check(parse_rule(ABAC_RULE), 6)
