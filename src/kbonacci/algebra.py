@@ -229,29 +229,16 @@ def _evaluators(spec: GHASpec) -> list[Callable]:
     return out
 
 
-def _exact_norm(nsq: Fraction, n: int) -> float:
-    """sqrt(nsq) as a float, also where nsq itself is beyond the float range.
-
-    Where float(nsq) fits this is math.sqrt(float(nsq)). Beyond that nsq is
-    divided by 4^h before rounding and the root is scaled back by 2^h.
-    """
-    try:
-        return math.sqrt(float(nsq))
-    except OverflowError:
-        pass
-    half = (nsq.numerator.bit_length() - nsq.denominator.bit_length()) // 2
-    try:
-        return math.ldexp(math.sqrt(float(nsq / 4**half)), half)
-    except OverflowError:
-        raise ComputationError(f"norm N_{n} overflows float64 at level n={n}") from None
-
-
-def _norms(scaled: list, nsq, d: int) -> list[Optional[float]]:
+def _norms(scaled: list, d: int) -> list[Optional[float]]:
     """sqrt(N_n^2) as floats, None where N_n^2 < 0, from scaled, the loop's
     values (d times nsq). x / d of ints is correctly rounded, as
     float(Fraction) is, so both give the same float. From the first value
-    beyond the float range on, the levels are taken from nsq by _exact_norm,
-    which names the first level whose norm overflows."""
+    beyond the float range on, x / d as ints p / q (x is a Fraction when the
+    slopes are not integral) is divided by 4^h before rounding, h half the
+    bit length of p / q, and the root is scaled back by 2^h. Rounding
+    commutes with division by a power of two, so each norm that fits is the
+    float sqrt(x / d) gives; the first one that overflows raises
+    ComputationError naming its level."""
     norms = []
     try:
         if d == 1:
@@ -259,8 +246,17 @@ def _norms(scaled: list, nsq, d: int) -> list[Optional[float]]:
         else:
             norms += (None if x < 0 else math.sqrt(x / d) for x in scaled)
     except OverflowError:
-        start = len(norms)  # the values before it are kept
-        norms += (None if x < 0 else _exact_norm(x, n) for n, x in enumerate(nsq[start:], start))
+        for n, x in enumerate(scaled[len(norms) :], len(norms)):
+            if x < 0:
+                norms.append(None)
+                continue
+            p, q = x.as_integer_ratio()
+            q *= d
+            h = max(0, (p.bit_length() - q.bit_length()) // 2)
+            try:
+                norms.append(math.ldexp(math.sqrt(p / (q << 2 * h)), h))
+            except OverflowError:
+                raise ComputationError(f"norm N_{n} overflows float64 at level n={n}") from None
     return norms
 
 
@@ -365,7 +361,7 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     if exact:
         columns = [_exact.fractions(column, d) for column in columns]
         nsq = _exact.fractions(scaled, d)
-    norms = _norms(scaled, nsq, d)
+    norms = _norms(scaled, d)
     rows = _rows(zip(*columns), nsq, norms)
     return SpectrumTable(rows, first_negative_energy, first_negative_norm_sq, first_decrease)
 

@@ -233,11 +233,6 @@ def _cmd_spectrum(args) -> int:
         raise SpecFileError("field 'n_max': missing (or pass --levels)")
     table = algebra.spectrum(spec, n_max)
     k = spec.k
-    header = ["n", *(f"alpha_{i}" for i in range(1, k + 1)), "Nsq", "N", "physical", "unitary"]
-    rows = [
-        [row.n, *row.alphas, row.nsq, row.norm, row.alphas[0] >= 0, row.nsq >= 0]
-        for row in table.rows
-    ]
     flags = {
         "physical_energy": table.physical_energy,
         "unitary": table.unitary,
@@ -261,17 +256,23 @@ def _cmd_spectrum(args) -> int:
             "flags": flags,
         }
         _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(header, rows)
     else:
-        columns = [list(map(_scalar_text, column)) for column in zip(header, *rows)]
-        # each line is padded as it is written, so no padded copy is held
-        line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in columns) + "\n"
-        sys.stdout.writelines(line.format(*texts) for texts in zip(*columns))
-        print(
-            f"flags: physical_energy={flags['physical_energy']} "
-            f"unitary={flags['unitary']} nondecreasing={flags['nondecreasing']}"
-        )
+        header = ["n", *(f"alpha_{i}" for i in range(1, k + 1)), "Nsq", "N", "physical", "unitary"]
+        rows = [
+            [row.n, *row.alphas, row.nsq, row.norm, row.alphas[0] >= 0, row.nsq >= 0]
+            for row in table.rows
+        ]
+        if args.format == "csv":
+            _emit_csv(header, rows)
+        else:
+            columns = [list(map(_scalar_text, column)) for column in zip(header, *rows)]
+            # each line is padded as it is written, so no padded copy is held
+            line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in columns) + "\n"
+            sys.stdout.writelines(line.format(*texts) for texts in zip(*columns))
+            print(
+                f"flags: physical_energy={flags['physical_energy']} "
+                f"unitary={flags['unitary']} nondecreasing={flags['nondecreasing']}"
+            )
     if args.strict_physical and not all(flags.values()):
         failing = sorted(name for name, ok in flags.items() if not ok)
         print(f"error: physicality flags failed: {', '.join(failing)}", file=sys.stderr)

@@ -9,9 +9,12 @@ quotients q_i = lambda_i / lambda_{i-1} for i >= 3 admits rules of the shape
 
 with (i_1, ..., i_{k-1}) a permutation of 2..k and the l_j a composition of
 lambda_1. There are (lambda_1 + 1)(lambda_1 + 2)...(lambda_1 + k - 1) such
-rules. Chain iteration from the single letter A_1 grows words whose lengths
-obey the recurrence; the abelianization (letter-count) matrix has the same
-characteristic polynomial as the companion matrix.
+rules, and they differ only in the image of A_1: enumerate_rules builds the
+other k - 1 images once and lists the rules by permutation, then by
+composition, both in lexicographic order. Chain iteration from the single
+letter A_1 grows words whose lengths obey the recurrence; the
+abelianization (letter-count) matrix has the same characteristic
+polynomial as the companion matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .recurrence import CoefficientVector
 from .spectral import MixedStateMatrix
 
 __all__ = [
-    "RuleSpec",
     "SubstitutionRule",
     "AbelianizationMatrix",
     "ChainState",
@@ -45,27 +47,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RuleSpec:
-    """Combinatorial data picking one rule: permutation plus composition."""
-
-    lambda1: int
-    lambda2: int
-    quotients: tuple[int, ...]  # q_3..q_k
-    permutation: tuple[int, ...]  # ordering of letters 2..k inside image(A_1)
-    composition: tuple[int, ...]  # l_1..l_k, sum = lambda1
-
-    @property
-    def k(self) -> int:
-        return len(self.quotients) + 2
-
-    def lambdas(self) -> tuple[int, ...]:
-        out = [self.lambda1, self.lambda2]
-        for q in self.quotients:
-            out.append(q * out[-1])
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class SubstitutionRule:
     """Images of the alphabet letters A, B, C, ... in order."""
 
@@ -77,21 +58,6 @@ class SubstitutionRule:
 
     def as_text(self) -> str:
         return ",".join(f"{a}:{w}" for a, w in zip(self.letters, self.images))
-
-    @classmethod
-    def from_spec(cls, rs: RuleSpec) -> "SubstitutionRule":
-        k = rs.k
-        letters = tuple(string.ascii_uppercase[:k])
-        lams = rs.lambdas()
-        head = []
-        for j in range(k):
-            head.append(letters[0] * rs.composition[j])
-            if j < k - 1:
-                head.append(letters[rs.permutation[j] - 1])
-        images = ["".join(head), letters[0] * lams[1]]
-        for i in range(3, k + 1):
-            images.append(letters[i - 2] * rs.quotients[i - 3])
-        return cls(letters, tuple(images))
 
 
 def _natural_lambdas(coeffs: CoefficientVector) -> list[int]:
@@ -130,14 +96,16 @@ def enumerate_rules(coeffs: CoefficientVector) -> list[SubstitutionRule]:
     """
     lams = _natural_lambdas(coeffs)
     k = len(lams)
-    if k == 1:
-        return [SubstitutionRule(("A",), ("A" * lams[0],))]
-    quotients = tuple(lams[i - 1] // lams[i - 2] for i in range(3, k + 1))
+    letters = tuple(string.ascii_uppercase[:k])
+    # A_2 -> A_1^{lambda_2}, A_i -> A_{i-1}^{q_i}: the images every rule shares
+    powers = lams[1:2] + [lams[i] // lams[i - 1] for i in range(2, k)]
+    tail = tuple(a * p for a, p in zip(letters, powers))
     rules = []
-    for perm in permutations(range(2, k + 1)):
+    for perm in permutations(letters[1:]):
+        slots = (*perm, "")
         for comp in _compositions(lams[0], k):
-            rs = RuleSpec(lams[0], lams[1], quotients, tuple(perm), comp)
-            rules.append(SubstitutionRule.from_spec(rs))
+            head = "".join("A" * l + letter for l, letter in zip(comp, slots))
+            rules.append(SubstitutionRule(letters, (head, *tail)))
     return rules
 
 
@@ -220,12 +188,13 @@ def _grow(rule: SubstitutionRule, steps: int, word_cap: int, one) -> list[ChainS
     columns = tuple(tuple(one * x for x in col) for col in zip(*abelianization(rule).entries))
     counts = tuple(one if i == 0 else one * 0 for i in range(k))
     word: Optional[str] = rule.letters[0] if 1 <= word_cap else None
+    table = str.maketrans(dict(zip(rule.letters, rule.images)))
     states = [ChainState(0, word, counts, one)]
     for step in range(1, steps + 1):
         counts = tuple(_exact.mat_vec(columns, counts))
         length = sum(counts)
         if word is not None and length <= word_cap:
-            word = "".join(rule.image(ch) for ch in word)
+            word = word.translate(table)
         else:
             word = None
         states.append(ChainState(step, word, counts, length))

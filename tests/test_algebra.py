@@ -388,6 +388,56 @@ class TestExactNormOverflow:
         assert lengths and max(lengths) <= 60
 
 
+def reference_norm(nsq, n):
+    """sqrt(nsq) for a Fraction nsq, also past the float range: nsq / 4^h
+    rounded, its root scaled back by 2^h."""
+    try:
+        return math.sqrt(float(nsq))
+    except OverflowError:
+        pass
+    half = (nsq.numerator.bit_length() - nsq.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(float(nsq / 4**half)), half)
+    except OverflowError:
+        raise ComputationError(f"norm N_{n} overflows float64 at level n={n}") from None
+
+
+class TestNormsPastFloatRange:
+    # Linear specs with a rational vacuum (the loop's values scaled by d > 1),
+    # about 10 bits a level: N^2 passes 2^1024 near level 100 and the norm
+    # 2^1024 near level 200. Negative slopes give negative N^2 on the way;
+    # non-integral slopes run the loop on Fractions.
+    @pytest.mark.parametrize(
+        "lams, vacuum",
+        [
+            ((1000, 3), (F(1, 3), F(2, 7))),
+            ((999, 5, 2), (F(2, 3), F(1, 5), F(3, 11))),
+            ((1024, 1, 7, 3), (F(5, 7), F(1, 2), 0, F(1, 9))),
+            ((-1000, 1), (F(1, 3), F(1, 5))),
+            ((F(2001, 2), F(3, 5)), (F(1, 3), 1)),
+        ],
+    )
+    @pytest.mark.parametrize("n_max", [150, 260])
+    def test_norms_match_reference_bit_for_bit(self, lams, vacuum, n_max):
+        _, nsqs = oracle_rows([(F(lam), F(0)) for lam in lams], vacuum, n_max)
+        assert max(nsqs) > 2**1024
+        # past about 2^2048 a norm overflows, and both must raise the same error
+        assert (max(nsqs) < 2**2048) == (n_max == 150)
+
+        def want():
+            return [None if x < 0 else reference_norm(x, n).hex() for n, x in enumerate(nsqs)], None
+
+        def got():
+            rows = spectrum(linear_spec(lams, vacuum), n_max).rows
+            return [None if row.norm is None else row.norm.hex() for row in rows], None
+
+        outcome = spectrum_outcome(got)
+        assert outcome == spectrum_outcome(want)
+        if n_max == 260:
+            assert outcome[0] == "ComputationError"
+            assert outcome[1].startswith("norm N_")
+
+
 class TestSpectrumValues:
     def test_k3_worked_example(self):
         table = spectrum(linear_spec((2, 1, 2), (1, 0, 0)), 4)

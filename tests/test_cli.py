@@ -385,6 +385,23 @@ _FUZZ_ITEMS = st.one_of(
 )
 
 
+def run_main(argv):
+    """main(argv) with stdout and stderr captured: (exit code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def check_error_contract(rc, err, codes=(0, 1)):
+    """An allowed exit code, no traceback, and one error line exactly when
+    the command failed."""
+    assert rc in codes
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (rc != 0)
+
+
 class TestSequenceFuzz:
     @settings(deadline=None, max_examples=150)
     @given(
@@ -398,19 +415,75 @@ class TestSequenceFuzz:
         argv = ["sequence", "--coeffs", coeffs, "-n", str(n), "--method", method, "--format", fmt]
         if seeds is not None:
             argv += ["--seeds", seeds]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-        assert rc in (0, 1, 3)
-        assert "Traceback" not in err.getvalue()
-        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-        if rc == 0:
-            assert errors == []
-            if fmt == "json":
-                values = json.loads(out.getvalue(), parse_constant=_reject_constant)["values"]
-                assert len(values) == n + 1
-        else:
-            assert len(errors) == 1
+        rc, out, err = run_main(argv)
+        check_error_contract(rc, err, (0, 1, 3))
+        if rc == 0 and fmt == "json":
+            values = json.loads(out, parse_constant=_reject_constant)["values"]
+            assert len(values) == n + 1
+
+
+@st.composite
+def subst_coeffs(draw):
+    """Coefficient text for subst enumerate: half natural vectors with
+    integral quotients, k = 1..4, half lists with zeros, negatives,
+    rationals, non-integral quotients and malformed items. lambda_1 <= 4
+    keeps every vector at 210 rules or fewer."""
+    if draw(st.booleans()):
+        lams = [draw(st.integers(min_value=1, max_value=4))]
+        if draw(st.booleans()):
+            lams.append(draw(st.integers(min_value=1, max_value=4)))
+            for _ in range(draw(st.integers(min_value=0, max_value=2))):
+                lams.append(lams[-1] * draw(st.integers(min_value=1, max_value=3)))
+        return ",".join(map(str, lams))
+    item = st.one_of(
+        st.integers(min_value=-2, max_value=4).map(str),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3).map(str),
+        st.sampled_from(["1/0", "x", "", "-", " 2", "1.5"]),
+    )
+    return ",".join(draw(st.lists(item, min_size=1, max_size=4)))
+
+
+@st.composite
+def rule_text(draw):
+    """Rule text for subst grow: half well-formed rules on k = 1..4 letters,
+    half entries with bad letters, spaces, empty images or no ':'."""
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=1, max_value=4))
+        images = [draw(st.text(alphabet="ABCD"[:k], min_size=1, max_size=4)) for _ in range(k)]
+        return ",".join(f"{a}:{w}" for a, w in zip("ABCD", images))
+    letter = st.sampled_from(["A", "B", "C", "D", "a", "AB", "1", " B ", "", "-"])
+    entry = st.one_of(
+        st.tuples(letter, st.text(alphabet="ABCD -", max_size=4)).map(":".join),
+        st.text(alphabet="ABCD: ,-", max_size=6),
+    )
+    return ",".join(draw(st.lists(entry, min_size=1, max_size=4)))
+
+
+class TestSubstFuzz:
+    @settings(deadline=None, max_examples=150)
+    @given(subst_coeffs(), st.sampled_from(["table", "csv", "json"]))
+    def test_enumerate_error_contract(self, coeffs, fmt):
+        rc, out, err = run_main(["subst", "enumerate", "--coeffs", coeffs, "--format", fmt])
+        check_error_contract(rc, err)
+        if rc == 0 and fmt == "json":
+            data = json.loads(out, parse_constant=_reject_constant)
+            assert data["count"] == len(data["rules"]) >= 1
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        rule_text(),
+        st.integers(min_value=0, max_value=25),
+        st.integers(min_value=1, max_value=50),
+        st.sampled_from(["table", "csv", "json"]),
+    )
+    def test_grow_error_contract(self, rule, steps, cap, fmt):
+        rc, out, err = run_main(
+            ["subst", "grow", "--rule", rule, "--steps", str(steps), "--word-cap", str(cap), "--format", fmt]
+        )
+        check_error_contract(rc, err)
+        if rc == 0 and fmt == "json":
+            states = json.loads(out, parse_constant=_reject_constant)["states"]
+            assert [s["step"] for s in states] == list(range(steps + 1))
 
 
 _CSV_FIELDS = st.text(alphabet="ab ,\"\r\n\t'-/0123456789", max_size=6)

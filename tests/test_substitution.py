@@ -6,7 +6,7 @@ actually counting letters in materialized words.
 """
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -98,6 +98,22 @@ class TestEnumerate:
             assert len(r.image("A")) == 4  # lambda_1 + (k-1) slots
             assert r.image("B") == "A" * 1  # lambda_2 copies
             assert r.image("C") in ("BB",)  # q_3 = lambda_3/lambda_2 copies
+
+    @pytest.mark.parametrize("lams", [(3, 1, 2, 4), (1, 1, 1, 1, 1), (2, 2, 4, 8), (1, 2, 2, 2, 2, 2)])
+    def test_rule_order(self, lams):
+        # The module docstring's shape, listed by permutation of 2..k and then
+        # by composition of lambda_1, both sorted lexicographically.
+        k = len(lams)
+        letters = "ABCDEFGHIJ"[:k]
+        tail = ["A" * lams[1]] + [letters[i - 1] * (lams[i] // lams[i - 1]) for i in range(2, k)]
+        comps = sorted(c for c in product(range(lams[0] + 1), repeat=k) if sum(c) == lams[0])
+        expected = []
+        for perm in sorted(permutations(range(2, k + 1))):
+            for comp in comps:
+                head = "A" * comp[0] + "".join(letters[i - 1] + "A" * l for i, l in zip(perm, comp[1:]))
+                expected.append(",".join(f"{a}:{w}" for a, w in zip(letters, [head, *tail])))
+        assert [r.as_text() for r in enumerate_rules(coeffs_of(*lams))] == expected
+        assert len(expected) == count_formula(k, lams[0])
 
     @pytest.mark.parametrize(
         "vals", [(F(1, 2), F(1)), (1, 2, 3), (-1, 1), (2, -1, 2)]
