@@ -5,146 +5,13 @@ oscillator algebras they index, and the substitution chains whose growth obeys
 the same recurrence.
 """
 
-from .algebra import (
-    AffineFunction,
-    ExpressionFunction,
-    GHASpec,
-    SpectrumRow,
-    SpectrumTable,
-    TruncatedOps,
-    VerificationReport,
-    linear_functions,
-    spectrum,
-    truncated_operators,
-    verify_relations,
-)
-from .errors import (
-    ComputationError,
-    DivisionByZeroError,
-    DomainError,
-    DominantModeAbsentError,
-    ExactModeUnavailableError,
-    ExpressionSyntaxError,
-    FloatRangeError,
-    ImaginaryResidueError,
-    InputError,
-    KbonacciError,
-    NearRepeatedRootsError,
-    NonConvergenceError,
-    NonIntegralCoefficientsError,
-    NonUnitaryRepresentationError,
-    OrderMismatchError,
-    RepeatedRootsError,
-    RuleFormatError,
-    SpecFileError,
-    TruncationTooSmallError,
-)
-from .recurrence import (
-    CoefficientVector,
-    ExactSequence,
-    SeedState,
-    companion_rows,
-    energy_from_miles,
-    extend_seeds,
-    iterate_sequence,
-    matrix_power_sequence,
-    matrix_sequence,
-    miles_number,
-)
-from .spectral import (
-    BinetForm,
-    CompanionMatrix,
-    MixedStateMatrix,
-    RatioLimitReport,
-    RootSet,
-    StochasticReport,
-    binet_eval,
-    binet_form,
-    char_poly,
-    find_roots,
-    matrix_char_poly,
-    ratio_limit_check,
-    stochastic_analysis,
-)
-from .substitution import (
-    AbelianizationMatrix,
-    ChainState,
-    GrowthReport,
-    SubstitutionRule,
-    abelianization,
-    chain_notes,
-    enumerate_rules,
-    grow_chain,
-    growth_law_check,
-    parse_rule,
-    rule_coefficients,
-)
+from . import algebra, errors, recurrence, spectral, substitution
+from .algebra import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .recurrence import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .substitution import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelianizationMatrix",
-    "AffineFunction",
-    "BinetForm",
-    "ChainState",
-    "CoefficientVector",
-    "CompanionMatrix",
-    "ComputationError",
-    "DivisionByZeroError",
-    "DomainError",
-    "DominantModeAbsentError",
-    "ExactModeUnavailableError",
-    "ExactSequence",
-    "ExpressionFunction",
-    "ExpressionSyntaxError",
-    "FloatRangeError",
-    "GHASpec",
-    "GrowthReport",
-    "ImaginaryResidueError",
-    "InputError",
-    "KbonacciError",
-    "MixedStateMatrix",
-    "NearRepeatedRootsError",
-    "NonConvergenceError",
-    "NonIntegralCoefficientsError",
-    "NonUnitaryRepresentationError",
-    "OrderMismatchError",
-    "RatioLimitReport",
-    "RepeatedRootsError",
-    "RootSet",
-    "RuleFormatError",
-    "SeedState",
-    "SpecFileError",
-    "SpectrumRow",
-    "SpectrumTable",
-    "StochasticReport",
-    "SubstitutionRule",
-    "TruncatedOps",
-    "TruncationTooSmallError",
-    "VerificationReport",
-    "abelianization",
-    "binet_eval",
-    "binet_form",
-    "chain_notes",
-    "char_poly",
-    "companion_rows",
-    "energy_from_miles",
-    "enumerate_rules",
-    "extend_seeds",
-    "find_roots",
-    "grow_chain",
-    "growth_law_check",
-    "iterate_sequence",
-    "linear_functions",
-    "matrix_char_poly",
-    "matrix_power_sequence",
-    "matrix_sequence",
-    "miles_number",
-    "parse_rule",
-    "ratio_limit_check",
-    "rule_coefficients",
-    "spectrum",
-    "stochastic_analysis",
-    "truncated_operators",
-    "verify_relations",
-]
+__all__ = [*algebra.__all__, *errors.__all__, *recurrence.__all__, *spectral.__all__, *substitution.__all__]

@@ -296,8 +296,9 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     float64 specs on floats, in the same loop. A float64 level is checked
     as it is computed, so an error names its level; an exact pass stops
     early only where a norm is certain to overflow. The first-failure levels
-    are then found by scanning the energy and N^2 columns, each exact column
-    becomes Fractions once, and the rows are built from the columns.
+    are then found by scanning the energy and N^2 columns, the norms are
+    taken from the loop's N^2 values, then each exact column becomes
+    Fractions once, and the rows are built from the columns.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -357,11 +358,10 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     first_decrease = _first(map(lt, energies[1:], energies), 1)
     first_negative_norm_sq = _first(map(lt, nsq, repeat(0)))
     columns = [energies, *(ladders[i :: k - 1] for i in range(k - 1))]
-    scaled = nsq
+    norms = _norms(nsq, d)
     if exact:
         columns = [_exact.fractions(column, d) for column in columns]
-        nsq = _exact.fractions(scaled, d)
-    norms = _norms(scaled, d)
+        nsq = _exact.fractions(nsq, d)
     rows = _rows(zip(*columns), nsq, norms)
     return SpectrumTable(rows, first_negative_energy, first_negative_norm_sq, first_decrease)
 

@@ -119,8 +119,6 @@ def _scalar_text(x) -> str:
 
 
 def _scalar_json(x):
-    if x is None:
-        return None
     if isinstance(x, (Fraction, Decimal)):
         return str(x)
     return x
@@ -186,13 +184,10 @@ def _load_algebra_spec(path: str) -> tuple[algebra.GHASpec, int | None, dict]:
         raw = data["linear"]
         if not isinstance(raw, list) or len(raw) != k:
             raise SpecFileError(f"field 'linear': must be a list of {k} rationals")
-        try:
-            functions = tuple(
-                algebra.AffineFunction(_rational(v, f"linear[{i}]", SpecFileError))
-                for i, v in enumerate(raw)
-            )
-        except ValueError as exc:
-            raise SpecFileError(f"field 'linear': {exc}") from None
+        functions = tuple(
+            algebra.AffineFunction(_rational(v, f"linear[{i}]", SpecFileError))
+            for i, v in enumerate(raw)
+        )
     else:
         raw = data["functions"]
         if not isinstance(raw, list) or len(raw) != k:

@@ -7,6 +7,28 @@ exit 3.
 
 from __future__ import annotations
 
+__all__ = [
+    "KbonacciError",
+    "InputError",
+    "OrderMismatchError",
+    "DomainError",
+    "NonIntegralCoefficientsError",
+    "TruncationTooSmallError",
+    "ExactModeUnavailableError",
+    "RuleFormatError",
+    "SpecFileError",
+    "ExpressionSyntaxError",
+    "ComputationError",
+    "DivisionByZeroError",
+    "NonConvergenceError",
+    "NearRepeatedRootsError",
+    "RepeatedRootsError",
+    "ImaginaryResidueError",
+    "FloatRangeError",
+    "DominantModeAbsentError",
+    "NonUnitaryRepresentationError",
+]
+
 
 class KbonacciError(Exception):
     """Base class for all package errors."""

@@ -75,7 +75,7 @@ class CompanionMatrix:
 
     @classmethod
     def from_coefficients(cls, coeffs: CoefficientVector) -> "CompanionMatrix":
-        return cls(coeffs.k, tuple(tuple(row) for row in companion_rows(coeffs)))
+        return cls(coeffs.k, companion_rows(coeffs))
 
 
 @dataclass(frozen=True)

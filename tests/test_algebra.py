@@ -40,7 +40,7 @@ from kbonacci import (
     truncated_operators,
     verify_relations,
 )
-from kbonacci import _exact, algebra
+from kbonacci import algebra
 from kbonacci.exprparse import float_evaluator, parse
 
 
@@ -373,14 +373,13 @@ class TestExactNormOverflow:
         with pytest.raises(ComputationError) as short:
             spectrum(spec, 60)
         lengths = []
-        fractions = _exact.fractions
+        norms = algebra._norms
 
-        def spy(values, d=1):
-            values = list(values)
-            lengths.append(len(values))
-            return fractions(values, d)
+        def spy(scaled, d):
+            lengths.append(len(scaled))
+            return norms(scaled, d)
 
-        monkeypatch.setattr(_exact, "fractions", spy)
+        monkeypatch.setattr(algebra, "_norms", spy)
         with pytest.raises(ComputationError) as long:
             spectrum(spec, 2000)
         assert str(long.value) == str(short.value)

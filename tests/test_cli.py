@@ -486,6 +486,130 @@ class TestSubstFuzz:
             assert [s["step"] for s in states] == list(range(steps + 1))
 
 
+_COEFF_ITEMS = st.one_of(
+    st.integers(min_value=-3, max_value=5).filter(bool).map(str),
+    st.fractions(min_value=-4, max_value=4, max_denominator=7).filter(bool).map(str),
+    st.sampled_from(["0", "1e400", "1e-400", "-1e400", "1/0", "x", "", "-", " 2", "--1"]),
+)
+_COEFFS = st.lists(_COEFF_ITEMS, min_size=1, max_size=5).map(",".join)
+_FORMATS = st.sampled_from(["table", "csv", "json"])
+# A tiny tol only ever meets a small iteration cap.
+_TOLS = st.none() | st.sampled_from(["nan", "inf", "-1e-3", "1e-320", "1e-13", "1e-6"])
+
+# Spec file fields: the values the loader accepts (rationals, some beyond
+# the float range or below its smallest positive value) and the ones it
+# must refuse.
+_ABSENT = object()
+_SPEC_FIELDS = {
+    "linear": (
+        ["1", "1", "-1", "2", "1/3", "-5/2", 3, -2, "0", "1e-400", "1e400", 10**400],
+        ["10^400", 0.5, True, None, ""],
+    ),
+    "functions": (
+        ["x", "x + 1", "x/3", "2*x - 1", "-x", "x", "x^2", "x^2 + 1", "1/x", "x/(x - 1)", "x*10^400"],
+        ["x +", "", "y", 2],
+    ),
+    "arithmetic": ([_ABSENT, "exact", "float64", "float64"], ["bogus"]),
+    "n_max": ([_ABSENT, 0, 5, 60], [-1, "5"]),
+    "tolerances": ([_ABSENT, 1e-10, 1e-3], [float("nan"), float("inf"), -1.0, 0, 10**400, "1e-10", True]),
+}
+
+
+@st.composite
+def spec_text(draw):
+    """Spec file text: linear or functions, k = 1..4, the arithmetic exact,
+    float64 or absent. At most one fault: k not a positive int, a list one
+    item too short or too long, a value the loader refuses, a bogus
+    arithmetic or n_max, tolerances.verify non-finite, beyond float64, a
+    string or a bool, or a file that is not a spec at all."""
+    fault = draw(st.sampled_from([*[None] * 6, "k", "length", "linear", "functions", *_SPEC_FIELDS, "file"]))
+    if fault == "file":
+        return draw(st.sampled_from(["", "{", "[]", '{"k": 2}', "NaN"]))
+
+    def pick(name):
+        valid, invalid = _SPEC_FIELDS[name]
+        return draw(st.sampled_from(invalid if name == fault else valid))
+
+    k = draw(st.integers(min_value=1, max_value=4))
+    field = draw(st.sampled_from(["linear", "functions"]))
+    lengths = [k + draw(st.sampled_from([-1, 1])) if fault == "length" else k for _ in range(2)]
+    spec = {
+        "k": draw(st.sampled_from([0, "2", True])) if fault == "k" else k,
+        field: [pick(field) for _ in range(lengths[0])],
+        "vacuum": [pick("linear") for _ in range(lengths[1])],
+        "arithmetic": pick("arithmetic"),
+        "n_max": pick("n_max"),
+    }
+    verify_tol = pick("tolerances")
+    if verify_tol is not _ABSENT:
+        spec["tolerances"] = {"verify": verify_tol}
+    return json.dumps({key: value for key, value in spec.items() if value is not _ABSENT})
+
+
+@pytest.fixture(scope="module")
+def fuzz_spec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+def check_command_contract(rc, out, err, fmt, *, output_before_error=False):
+    """check_error_contract over exit codes 0-3; a failure with an error
+    line prints nothing to stdout, unless output_before_error; JSON output
+    parses with no non-finite constant."""
+    check_error_contract(rc, err, (0, 1, 2, 3))
+    if rc != 0 and not output_before_error:
+        assert out == ""
+    if fmt == "json" and out:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+class TestCommandFuzz:
+    @settings(deadline=None, max_examples=150)
+    @given(_COEFFS, _TOLS, st.integers(min_value=0, max_value=50), _FORMATS)
+    def test_eigen(self, coeffs, tol, max_iter, fmt):
+        argv = ["eigen", "--coeffs", coeffs, "--max-iter", str(max_iter), "--format", fmt]
+        if tol is not None:
+            argv += ["--tol", tol]
+        check_command_contract(*run_main(argv), fmt)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_COEFFS, _FORMATS)
+    def test_stochastic(self, coeffs, fmt):
+        check_command_contract(*run_main(["stochastic", "--coeffs", coeffs, "--format", fmt]), fmt)
+
+    @settings(deadline=None, max_examples=150)
+    @given(spec_text(), st.none() | st.integers(min_value=0, max_value=60), st.booleans(), _FORMATS)
+    def test_spectrum(self, fuzz_spec_path, text, levels, strict, fmt):
+        fuzz_spec_path.write_text(text)
+        argv = ["spectrum", str(fuzz_spec_path), "--format", fmt]
+        if levels is not None:
+            argv += ["--levels", str(levels)]
+        if strict:
+            argv.append("--strict-physical")
+        rc, out, err = run_main(argv)
+        # --strict-physical prints the table before its error line
+        check_command_contract(rc, out, err, fmt, output_before_error=strict and rc == 2)
+
+    @settings(deadline=None, max_examples=150)
+    @given(spec_text(), st.integers(min_value=0, max_value=40), _TOLS, _FORMATS)
+    def test_verify(self, fuzz_spec_path, text, dim, tol, fmt):
+        fuzz_spec_path.write_text(text)
+        argv = ["verify", str(fuzz_spec_path), "--dim", str(dim), "--format", fmt]
+        if tol is not None:
+            argv += ["--tol", tol]
+        rc, out, err = run_main(argv)
+        if rc == 3 and "error:" not in err:
+            # a relation outside tol: the report is printed and says so
+            assert "Traceback" not in err
+            if fmt == "json":
+                assert json.loads(out, parse_constant=_reject_constant)["all_passed"] is False
+            elif fmt == "csv":
+                assert "False" in [line.rsplit(",", 1)[-1] for line in out.splitlines()[1:]]
+            else:
+                assert out.splitlines()[-1].endswith(": False")
+        else:
+            check_command_contract(rc, out, err, fmt)
+
+
 _CSV_FIELDS = st.text(alphabet="ab ,\"\r\n\t'-/0123456789", max_size=6)
 
 
