@@ -24,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -37,6 +38,7 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from . import _exact, algebra, spectral, substitution
 from .errors import (
@@ -124,8 +126,44 @@ def _scalar_json(x):
     return x
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _complex_text(z) -> str:
+    return f"{_scalar_text(z.real)} + {_scalar_text(z.imag)}i"
+
+
+def _complex_json(z):
+    return None if z is None else {"re": z.real, "im": z.imag}
+
+
+class _Report(NamedTuple):
+    """A subcommand's output in every format. Only the printed format's part
+    is formatted: payload is called, and rows and lines are generators (a
+    one-line summary is a plain string). notes follow the csv rows as "# "
+    comments and the table lines bare. error is a stderr line printed after
+    the output (verify's exit 3 has none: its report says so)."""
+
+    payload: Callable[[], object]
+    header: list
+    rows: Iterable
+    lines: Iterable[str]
+    notes: Iterable[str] = ()
+    error: str | None = None
+    code: int = 0
+
+
+def _emit(report: _Report, fmt: str) -> int:
+    if fmt == "json":
+        print(json.dumps(report.payload(), indent=2))
+    elif fmt == "csv":
+        _emit_csv(report.header, report.rows)
+        sys.stdout.writelines(f"# {note}\n" for note in report.notes)
+    else:
+        write = sys.stdout.write
+        for line in chain(report.lines, report.notes):
+            write(line)
+            write("\n")  # not line + "\n": that copies each (long) line again
+    if report.error is not None:
+        print(f"error: {report.error}", file=sys.stderr)
+    return report.code
 
 
 def _emit_csv(header, rows) -> None:
@@ -148,6 +186,13 @@ def _emit_csv(header, rows) -> None:
             write(",".join(fields) + "\r\n")
         else:
             writer.writerow(fields)
+
+
+def _aligned(header, rows):
+    """Table lines, each column padded to its widest text as it is written."""
+    columns = [list(map(_scalar_text, column)) for column in zip(header, *rows)]
+    line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in columns)
+    yield from (line.format(*texts) for texts in zip(*columns))
 
 
 # Spec file handling.
@@ -221,7 +266,7 @@ def _load_algebra_spec(path: str) -> tuple[algebra.GHASpec, int | None, dict]:
 # Subcommand handlers.
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> _Report:
     spec, file_n_max, _ = _load_algebra_spec(args.specfile)
     n_max = args.levels if args.levels is not None else file_n_max
     if n_max is None:
@@ -233,8 +278,15 @@ def _cmd_spectrum(args) -> int:
         "unitary": table.unitary,
         "nondecreasing": table.nondecreasing,
     }
-    if args.format == "json":
-        payload = {
+    header = ["n", *(f"alpha_{i}" for i in range(1, k + 1)), "Nsq", "N", "physical", "unitary"]
+    rows = (
+        [row.n, *row.alphas, row.nsq, row.norm, row.alphas[0] >= 0, row.nsq >= 0]
+        for row in table.rows
+    )
+    failing = sorted(name for name, ok in flags.items() if not ok)
+    error = f"physicality flags failed: {', '.join(failing)}" if args.strict_physical and failing else None
+    return _Report(
+        payload=lambda: {
             "k": k,
             "arithmetic": spec.arithmetic,
             "rows": [
@@ -249,30 +301,13 @@ def _cmd_spectrum(args) -> int:
                 for row in table.rows
             ],
             "flags": flags,
-        }
-        _emit_json(payload)
-    else:
-        header = ["n", *(f"alpha_{i}" for i in range(1, k + 1)), "Nsq", "N", "physical", "unitary"]
-        rows = [
-            [row.n, *row.alphas, row.nsq, row.norm, row.alphas[0] >= 0, row.nsq >= 0]
-            for row in table.rows
-        ]
-        if args.format == "csv":
-            _emit_csv(header, rows)
-        else:
-            columns = [list(map(_scalar_text, column)) for column in zip(header, *rows)]
-            # each line is padded as it is written, so no padded copy is held
-            line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in columns) + "\n"
-            sys.stdout.writelines(line.format(*texts) for texts in zip(*columns))
-            print(
-                f"flags: physical_energy={flags['physical_energy']} "
-                f"unitary={flags['unitary']} nondecreasing={flags['nondecreasing']}"
-            )
-    if args.strict_physical and not all(flags.values()):
-        failing = sorted(name for name, ok in flags.items() if not ok)
-        print(f"error: physicality flags failed: {', '.join(failing)}", file=sys.stderr)
-        return 2
-    return 0
+        },
+        header=header,
+        rows=rows,
+        lines=chain(_aligned(header, rows), ["flags: " + " ".join(f"{f}={ok}" for f, ok in flags.items())]),
+        error=error,
+        code=2 if error else 0,
+    )
 
 
 def _decimal_inputs(coeffs: CoefficientVector, seeds):
@@ -337,7 +372,7 @@ def _library_sequence(coeffs, seeds, n: int, args):
     return values, check
 
 
-def _cmd_sequence(args) -> int:
+def _cmd_sequence(args) -> _Report:
     coeffs = _coeffs_arg(args.coeffs)
     seeds = _seed_state(coeffs, args.seeds)
     n = args.n
@@ -349,24 +384,18 @@ def _cmd_sequence(args) -> int:
     else:
         values, check = _library_sequence(coeffs, seeds, n, args)
 
-    if args.format == "json":
-        payload = {
+    return _Report(
+        payload=lambda: {
             "coefficients": [str(v) for v in coeffs.values],
             "method": args.method,
             "values": [_scalar_json(v) for v in values],
-        }
-        if check is not None:
-            payload["max_discrepancy_vs_direct"] = _scalar_json(check)
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(["n", "value"], enumerate(values))
-        if check is not None:
-            print(f"# max discrepancy vs direct: {_scalar_text(check)}")
-    else:
-        sys.stdout.writelines(f"{m}  {_scalar_text(v)}\n" for m, v in enumerate(values))
-        if check is not None:
-            print(f"max discrepancy vs direct: {_scalar_text(check)}")
-    return 0
+            **({} if check is None else {"max_discrepancy_vs_direct": _scalar_json(check)}),
+        },
+        header=["n", "value"],
+        rows=enumerate(values),
+        lines=(f"{m}  {_scalar_text(v)}" for m, v in enumerate(values)),
+        notes=[] if check is None else [f"max discrepancy vs direct: {_scalar_text(check)}"],
+    )
 
 
 def _poly_term(mag: Fraction, power: int) -> str:
@@ -390,99 +419,78 @@ def _poly_text(desc) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def _cmd_eigen(args) -> int:
+def _cmd_eigen(args) -> _Report:
     coeffs = _coeffs_arg(args.coeffs)
     poly = spectral.char_poly(coeffs)
     roots = spectral.find_roots(poly, tol=args.tol, max_iter=args.max_iter)
-    dom = roots.roots[roots.dominant]
-    if args.format == "json":
-        _emit_json(
-            {
-                "char_poly": [str(c) for c in poly],
-                "roots": [{"re": r.real, "im": r.imag} for r in roots.roots],
-                "dominant_index": roots.dominant,
-                "dominant": {"re": dom.real, "im": dom.imag},
-                # A single root has no pair: RootSet.condition is inf, which
-                # strict JSON cannot encode.
-                "min_separation": roots.condition if len(roots.roots) > 1 else None,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["index", "re", "im", "modulus"],
-            [[i, r.real, r.imag, abs(r)] for i, r in enumerate(roots.roots)],
-        )
-    else:
-        print(f"characteristic polynomial: {_poly_text(poly)}")
-        for i, r in enumerate(roots.roots):
-            mark = "  <- dominant" if i == roots.dominant else ""
-            print(f"root {i}: {_scalar_text(r.real)} + {_scalar_text(r.imag)}i{mark}")
-        print(f"min separation: {_scalar_text(roots.condition)}")
-    return 0
+    return _Report(
+        payload=lambda: {
+            "char_poly": [str(c) for c in poly],
+            "roots": [_complex_json(r) for r in roots.roots],
+            "dominant_index": roots.dominant,
+            "dominant": _complex_json(roots.roots[roots.dominant]),
+            # A single root has no pair: RootSet.condition is inf, which
+            # strict JSON cannot encode.
+            "min_separation": roots.condition if len(roots.roots) > 1 else None,
+        },
+        header=["index", "re", "im", "modulus"],
+        rows=([i, r.real, r.imag, abs(r)] for i, r in enumerate(roots.roots)),
+        lines=chain(
+            [f"characteristic polynomial: {_poly_text(poly)}"],
+            (
+                f"root {i}: {_complex_text(r)}{'  <- dominant' if i == roots.dominant else ''}"
+                for i, r in enumerate(roots.roots)
+            ),
+            [f"min separation: {_scalar_text(roots.condition)}"],
+        ),
+    )
 
 
-def _cmd_stochastic(args) -> int:
+def _cmd_stochastic(args) -> _Report:
     coeffs = _coeffs_arg(args.coeffs)
     report = spectral.stochastic_analysis(coeffs)
-    if args.format == "json":
-        _emit_json(
-            {
-                "stochastic": report.is_stochastic,
-                "nonnegative": report.nonnegative,
-                "sums_to_one": report.sums_to_one,
-                "stationary": [str(p) for p in report.stationary]
-                if report.stationary
-                else None,
-                "dominant_root": {
-                    "re": report.dominant_root.real,
-                    "im": report.dominant_root.imag,
-                }
-                if report.dominant_root is not None
-                else None,
-                "dominant_gap": report.dominant_gap,
-            }
-        )
-    elif args.format == "csv":
-        rows = []
-        if report.stationary:
-            rows = [[i + 1, p] for i, p in enumerate(report.stationary)]
-        _emit_csv(["state", "pi"], rows)
+    return _Report(
+        payload=lambda: {
+            "stochastic": report.is_stochastic,
+            "nonnegative": report.nonnegative,
+            "sums_to_one": report.sums_to_one,
+            "stationary": [str(p) for p in report.stationary] if report.stationary else None,
+            "dominant_root": _complex_json(report.dominant_root),
+            "dominant_gap": report.dominant_gap,
+        },
+        header=["state", "pi"],
+        rows=enumerate(report.stationary or (), 1),
+        lines=_stochastic_lines(report),
+    )
+
+
+def _stochastic_lines(report):
+    if report.is_stochastic:
+        yield "stochastic: yes"
+        yield f"stationary distribution: ({', '.join(str(p) for p in report.stationary)})"
     else:
-        if report.is_stochastic:
-            print("stochastic: yes")
-            pi = ", ".join(str(p) for p in report.stationary)
-            print(f"stationary distribution: ({pi})")
-        else:
-            reasons = []
-            if not report.nonnegative:
-                reasons.append("negative coefficients")
-            if not report.sums_to_one:
-                reasons.append("coefficients do not sum to 1")
-            print(f"stochastic: no ({'; '.join(reasons)})")
-        if report.dominant_root is not None:
-            print(
-                f"dominant root: {_scalar_text(report.dominant_root.real)} "
-                f"+ {_scalar_text(report.dominant_root.imag)}i "
-                f"(|dominant - 1| = {_scalar_text(report.dominant_gap)})"
-            )
-    return 0
+        reasons = []
+        if not report.nonnegative:
+            reasons.append("negative coefficients")
+        if not report.sums_to_one:
+            reasons.append("coefficients do not sum to 1")
+        yield f"stochastic: no ({'; '.join(reasons)})"
+    if report.dominant_root is not None:
+        gap = _scalar_text(report.dominant_gap)
+        yield f"dominant root: {_complex_text(report.dominant_root)} (|dominant - 1| = {gap})"
 
 
-def _cmd_subst(args) -> int:
-    if args.action == "enumerate":
-        coeffs = _coeffs_arg(args.coeffs)
-        rules = substitution.enumerate_rules(coeffs)
-        if args.format == "json":
-            _emit_json({"count": len(rules), "rules": [r.as_text() for r in rules]})
-        elif args.format == "csv":
-            _emit_csv(["index", "rule"], [[i, r.as_text()] for i, r in enumerate(rules)])
-        else:
-            for r in rules:
-                print(r.as_text())
-            print(f"count: {len(rules)}")
-        return 0
+def _cmd_enumerate(args) -> _Report:
+    rules = substitution.enumerate_rules(_coeffs_arg(args.coeffs))
+    return _Report(
+        payload=lambda: {"count": len(rules), "rules": [r.as_text() for r in rules]},
+        header=["index", "rule"],
+        rows=([i, r.as_text()] for i, r in enumerate(rules)),
+        lines=chain((r.as_text() for r in rules), [f"count: {len(rules)}"]),
+    )
 
-    # grow
+
+def _cmd_grow(args) -> _Report:
     rule = substitution.parse_rule(args.rule)
     if args.format == "csv":
         # csv only prints the counts: exact Decimals, printed in linear time
@@ -493,41 +501,34 @@ def _cmd_subst(args) -> int:
         states = substitution.grow_chain(rule, args.steps, word_cap=args.word_cap)
     notes = substitution.chain_notes(rule, states)
     freq = lambda s: [c / s.length for c in s.letter_counts]
-    if args.format == "json":
-        _emit_json(
-            {
-                "rule": rule.as_text(),
-                "states": [
-                    {
-                        "step": s.step,
-                        "length": s.length,
-                        "word": s.word,
-                        "letter_counts": list(s.letter_counts),
-                        "frequencies": freq(s),
-                    }
-                    for s in states
-                ],
-                "notes": notes,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["step", "length", "word", *(f"count_{a}" for a in rule.letters)],
-            ([s.step, s.length, s.word if s.word is not None else "", *s.letter_counts] for s in states),
-        )
-        for note in notes:
-            print(f"# {note}")
-    else:
-        for s in states:
-            word = s.word if s.word is not None else f"(not materialized, cap {args.word_cap})"
-            fr = ", ".join(format(x, ".6f") for x in freq(s))
-            print(f"step {s.step}: length {s.length}  word {word}  frequencies ({fr})")
-        for note in notes:
-            print(note)
-    return 0
+    return _Report(
+        payload=lambda: {
+            "rule": rule.as_text(),
+            "states": [
+                {
+                    "step": s.step,
+                    "length": s.length,
+                    "word": s.word,
+                    "letter_counts": list(s.letter_counts),
+                    "frequencies": freq(s),
+                }
+                for s in states
+            ],
+            "notes": notes,
+        },
+        header=["step", "length", "word", *(f"count_{a}" for a in rule.letters)],
+        rows=([s.step, s.length, s.word if s.word is not None else "", *s.letter_counts] for s in states),
+        lines=(
+            f"step {s.step}: length {s.length}  "
+            f"word {s.word if s.word is not None else f'(not materialized, cap {args.word_cap})'}  "
+            f"frequencies ({', '.join(format(x, '.6f') for x in freq(s))})"
+            for s in states
+        ),
+        notes=notes,
+    )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Report:
     spec, _, tolerances = _load_algebra_spec(args.specfile)
     tol = args.tol
     if tol is None:
@@ -537,29 +538,27 @@ def _cmd_verify(args) -> int:
             raise SpecFileError("tolerances['verify']: must be a finite positive number")
     ops = algebra.truncated_operators(spec, args.dim)
     report = algebra.verify_relations(ops, spec, tol=tol)
-    if args.format == "json":
-        _emit_json(
-            {
-                "dim": args.dim,
-                "tol": tol,
-                "relations": [
-                    {"label": e.label, "residual": e.residual, "passed": e.passed}
-                    for e in report.entries
-                ],
-                "all_passed": report.all_passed,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["label", "residual", "passed"],
-            [[e.label, e.residual, e.passed] for e in report.entries],
-        )
-    else:
-        for e in report.entries:
-            status = "PASS" if e.passed else "FAIL"
-            print(f"{e.label:24s} residual {_scalar_text(e.residual):24s} {status}")
-        print(f"all relations within tol {_scalar_text(float(tol))}: {report.all_passed}")
-    return 0 if report.all_passed else 3
+    return _Report(
+        payload=lambda: {
+            "dim": args.dim,
+            "tol": tol,
+            "relations": [
+                {"label": e.label, "residual": e.residual, "passed": e.passed}
+                for e in report.entries
+            ],
+            "all_passed": report.all_passed,
+        },
+        header=["label", "residual", "passed"],
+        rows=([e.label, e.residual, e.passed] for e in report.entries),
+        lines=chain(
+            (
+                f"{e.label:24s} residual {_scalar_text(e.residual):24s} {'PASS' if e.passed else 'FAIL'}"
+                for e in report.entries
+            ),
+            [f"all relations within tol {_scalar_text(float(tol))}: {report.all_passed}"],
+        ),
+        code=0 if report.all_passed else 3,
+    )
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -632,14 +631,14 @@ def _build_parser() -> _ArgumentParser:
     pe = action.add_parser("enumerate", help="list all rules for a coefficient vector")
     pe.add_argument("--coeffs", required=True)
     _add_format(pe)
-    pe.set_defaults(handler=_cmd_subst)
+    pe.set_defaults(handler=_cmd_enumerate)
 
     pg = action.add_parser("grow", help="iterate a rule from the first letter")
     pg.add_argument("--rule", required=True, help='rule text like "A:ABAC,B:A,C:BB"')
     pg.add_argument("--steps", type=int, required=True)
     pg.add_argument("--word-cap", type=int, default=10000, help="word materialization cap")
     _add_format(pg)
-    pg.set_defaults(handler=_cmd_subst)
+    pg.set_defaults(handler=_cmd_grow)
 
     p = sub.add_parser("verify", help="check the defining relations on a truncation")
     p.add_argument("specfile")
@@ -711,7 +710,7 @@ def _run(argv: list[str]) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        return _emit(args.handler(args), args.format)
     except (ValueError, KbonacciError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NonUnitaryRepresentationError):

@@ -72,7 +72,7 @@ def _cases():
         add("spectrum", f"{spec}.json")
     add("spectrum", "fib.json", "--levels", "1480", formats=("table", "csv"))
     add("spectrum", "float.json", "--levels", "1500", formats=("json",))
-    add("spectrum", "sign.json", "--strict-physical", formats=("table",))
+    add("spectrum", "sign.json", "--strict-physical")
     add("spectrum", "tri.json", "--strict-physical", formats=("table",))
     add("spectrum", "fib.json", "--levels", "0", formats=("table",))
     for spec in ("missing", "bad_syntax", "bad_literal"):
@@ -83,6 +83,7 @@ def _cases():
         add("verify", f"{spec}.json", "--dim", str(dim))
     add("verify", "fib.json", "--dim", "1", formats=("table",))
     add("verify", "float.json", "--dim", "80", "--tol", "1e-12", formats=("table",))
+    add("verify", "float.json", "--dim", "80", "--tol", "1e-300")
 
     problems = [
         ("1,1", None), ("1,1,1", None), ("-1,1,-1", "2,1,-3"), ("-2,1", "0,0"),
@@ -120,10 +121,11 @@ def _cases():
 
     for coeffs in ("1,1", "2,1,2", "1,1,1,1,1", "-1,2", "1000000,1", "1/2,1/3"):
         add("eigen", "--coeffs", coeffs)
+    add("eigen", "--coeffs", "2")
     add("eigen", "--coeffs", "2,-1", formats=("table",))
     add("eigen", "--coeffs", "3,-3,1", formats=("table",))
 
-    for coeffs in ("1/2,1/2", "1/7,2/7,4/7", "1/2,1/3", "3/2,-1/2", "1"):
+    for coeffs in ("1/2,1/2", "1/7,2/7,4/7", "1/2,1/3", "3/2,-1/2", "1", "2,-1"):
         add("stochastic", "--coeffs", coeffs)
 
     for coeffs in ("2,1,2", "1,1", "3"):

@@ -1,5 +1,6 @@
-"""The command line's output layer: exact integer values printed from
-Decimals, the parser reused across main() calls, and a closed stdout.
+"""The command line's output layer: handlers that return a report and
+print nothing, exact integer values printed from Decimals, the parser
+reused across main() calls, and a closed stdout.
 """
 
 import contextlib
@@ -36,6 +37,39 @@ def _no_digit_limit():
     finally:
         if saved is not None:
             sys.set_int_max_str_digits(saved)
+
+
+class TestHandlersReturnReports:
+    """Every handler builds one _Report and leaves all printing to _emit,
+    the strict-physicality error and verify's exit 3 included."""
+
+    SPECS = {
+        "sign.json": {"k": 2, "functions": ["x", "-x"], "vacuum": ["1", "0"], "n_max": 3,
+                      "arithmetic": "float64"},
+        "float.json": {"k": 2, "linear": ["1", "1"], "vacuum": ["1", "0"], "arithmetic": "float64"},
+    }
+    ARGVS = [
+        ["spectrum", "sign.json", "--strict-physical"],
+        ["sequence", "--coeffs", "1,1", "-n", "8", "--check"],
+        ["eigen", "--coeffs", "1,1"],
+        ["stochastic", "--coeffs", "1/2,1/2"],
+        ["subst", "enumerate", "--coeffs", "2,1"],
+        ["subst", "grow", "--rule", "A:AB,B:A", "--steps", "5"],
+        ["verify", "float.json", "--dim", "80", "--tol", "1e-300"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv[:2]))
+    def test_handler_prints_nothing(self, argv, fmt, tmp_path, monkeypatch):
+        for name, spec in self.SPECS.items():
+            (tmp_path / name).write_text(json.dumps(spec))
+        monkeypatch.chdir(tmp_path)
+        args = cli._parser().parse_args([*argv, "--format", fmt])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            report = args.handler(args)
+        assert isinstance(report, cli._Report)
+        assert (out.getvalue(), err.getvalue()) == ("", "")
 
 
 # "-0" as a whole value: not part of "-05", "10-0" or "-0/3".
