@@ -34,23 +34,22 @@ less alpha_0^(1). The first-failure levels of the physicality conditions
 come from scans of the energy and N^2 columns afterwards, and each exact
 column becomes Fractions once.
 
-A truncation to the first dim Fock levels is stored as bands only, its
-spectrum table: H and the J_i are diagonal and the raising operator has one
-subdiagonal, so each defining relation is checked entry by entry on its
-band, by one routine for both arithmetic modes. Exact bands run on ints
+A truncation to the first dim Fock levels is its spectrum table, the
+bands of its operators: H and the J_i are diagonal and the raising operator
+has one subdiagonal, so each defining relation is checked entry by entry on
+its band, by one routine for both arithmetic modes. Exact bands run on ints
 wherever the table values and the affine coefficients are integral.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, count, repeat
 from operator import add, lt
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import _exact
 from .errors import (
@@ -70,7 +69,6 @@ __all__ = [
     "GHASpec",
     "SpectrumRow",
     "SpectrumTable",
-    "TruncatedOps",
     "RelationResidual",
     "VerificationReport",
     "spectrum",
@@ -158,12 +156,8 @@ class GHASpec:
         return len(self.functions)
 
 
-@dataclass(frozen=True, slots=True)
-class SpectrumRow:
-    """One Fock level: alphas = (alpha_n^(1), ..., alpha_n^(k)).
-
-    The fields are slots, which spectrum() writes directly.
-    """
+class SpectrumRow(NamedTuple):
+    """One Fock level: alphas = (alpha_n^(1), ..., alpha_n^(k))."""
 
     n: int
     alphas: tuple
@@ -266,21 +260,6 @@ def _first(flags, start: int = 0) -> Optional[int]:
     return next(compress(count(start), flags), None)
 
 
-_new = object.__new__
-_SLOTS = (SpectrumRow.n, SpectrumRow.alphas, SpectrumRow.nsq, SpectrumRow.norm)
-
-
-def _rows(alphas, nsq, norms) -> tuple[SpectrumRow, ...]:
-    """SpectrumRows n = 0, 1, ... from the columns of their other fields,
-    one field at a time for all rows, written into the new instances' slots
-    directly, as _exact.reduced writes Fraction's: the frozen dataclass
-    __init__ makes four object.__setattr__ calls per row from Python code."""
-    rows = tuple(map(_new, repeat(SpectrumRow, len(nsq))))
-    for slot, column in zip(_SLOTS, (count(), alphas, nsq, norms)):
-        deque(map(slot.__set__, rows, column), 0)
-    return rows
-
-
 def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     """Levels 0..n_max of the Fock spectrum with physicality levels.
 
@@ -362,26 +341,16 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     if exact:
         columns = [_exact.fractions(column, d) for column in columns]
         nsq = _exact.fractions(nsq, d)
-    rows = _rows(zip(*columns), nsq, norms)
+    rows = tuple(map(SpectrumRow._make, zip(count(), zip(*columns), nsq, norms)))
     return SpectrumTable(rows, first_negative_energy, first_negative_norm_sq, first_decrease)
 
 
-@dataclass(frozen=True)
-class TruncatedOps:
-    """The algebra on the first dim Fock levels, stored as bands.
-
-    table holds levels 0..dim-1 in the spec's arithmetic. H and the J_i are
+def truncated_operators(spec: GHASpec, dim: int) -> SpectrumTable:
+    """H, J_i, and the ladder pair on the first dim levels: the spectrum
+    table of levels 0..dim-1 in the spec's arithmetic. H and the J_i are
     diagonal with the alphas as entries, and the raising operator carries
-    N_n on its first subdiagonal (lowering is its transpose), so table is
-    the whole truncation; verify_relations works on these bands directly.
-    """
-
-    dim: int
-    table: SpectrumTable
-
-
-def truncated_operators(spec: GHASpec, dim: int) -> TruncatedOps:
-    """H, J_i, and the ladder pair on the first dim levels.
+    N_n on its first subdiagonal (lowering is its transpose), so the table
+    is the whole truncation; verify_relations works on these bands directly.
 
     Requires N_n^2 >= 0 for every n < dim; the first violating level raises
     NonUnitaryRepresentationError.
@@ -392,7 +361,7 @@ def truncated_operators(spec: GHASpec, dim: int) -> TruncatedOps:
     level = table.first_negative_norm_sq
     if level is not None:
         raise NonUnitaryRepresentationError(level, table.rows[level].nsq)
-    return TruncatedOps(dim, table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -438,12 +407,13 @@ def _band_residual(label: str, entries, tol: float) -> RelationResidual:
     return RelationResidual(label, worst, worst <= tol)
 
 
-def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> VerificationReport:
+def verify_relations(table: SpectrumTable, spec: GHASpec, tol: float = 1e-10) -> VerificationReport:
     """Relative residuals of the defining relations on the truncated block.
 
     H, the J_i and f_i(H) are diagonal and raising has one subdiagonal, so
     each relation is nonzero on one band only and is evaluated there from
-    ops' levels and spec's level functions, in O(dim*k). Checked are the
+    the levels of table (truncated_operators(spec, dim), dim its row count)
+    and spec's level functions, in O(dim*k). Checked are the
     entries unaffected by truncation: H.raising = raising.(f_1(H) + sum J_i)
     on columns 0..dim-2, J_i.raising^(i-1) = raising^(i-1).f_i(H) on columns
     0..dim-i, and [lowering,raising] = f_1(H) + sum J_i - H on levels
@@ -468,10 +438,10 @@ def verify_relations(ops: TruncatedOps, spec: GHASpec, tol: float = 1e-10) -> Ve
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
-    dim = ops.dim
+    rows = table.rows
+    dim = len(rows)
     if dim < spec.k:
         raise TruncationTooSmallError(f"dim {dim} below algebra order k={spec.k}")
-    rows = ops.table.rows
     exact = spec.arithmetic == "exact"
     fns = _evaluators(spec)
     alphas = list(zip(*(row.alphas for row in rows)))  # alphas[i - 1][n] = alpha_n^(i)

@@ -259,6 +259,9 @@ def _load_algebra_spec(path: str) -> tuple[algebra.GHASpec, int | None, dict]:
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise SpecFileError("field 'tolerances': must be an object")
+    unknown = set(tolerances) - {"verify"}
+    if unknown:
+        raise SpecFileError(f"field 'tolerances': unknown fields {sorted(unknown)}")
     spec = algebra.GHASpec(functions=functions, vacuum=vacuum, arithmetic=arithmetic)
     return spec, n_max, tolerances
 
@@ -353,8 +356,8 @@ def _library_sequence(coeffs, seeds, n: int, args):
         roots = spectral.find_roots(
             spectral.char_poly(coeffs), tol=args.tol, max_iter=args.max_iter
         )
-        form = spectral.binet_form(coeffs, seeds, roots)
-        values = [spectral.binet_eval(form, roots, m) for m in range(n + 1)]
+        modes = spectral.binet_form(coeffs, seeds, roots)
+        values = [spectral.binet_eval(modes, roots, m) for m in range(n + 1)]
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown method {method!r}")
 
@@ -536,8 +539,8 @@ def _cmd_verify(args) -> _Report:
         # json reads NaN and Infinity as floats, and ints beyond float64
         if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= sys.float_info.max:
             raise SpecFileError("tolerances['verify']: must be a finite positive number")
-    ops = algebra.truncated_operators(spec, args.dim)
-    report = algebra.verify_relations(ops, spec, tol=tol)
+    table = algebra.truncated_operators(spec, args.dim)
+    report = algebra.verify_relations(table, spec, tol=tol)
     return _Report(
         payload=lambda: {
             "dim": args.dim,

@@ -46,7 +46,6 @@ __all__ = [
     "ExactSequence",
     "extend_seeds",
     "iterate_sequence",
-    "companion_rows",
     "matrix_power_sequence",
     "matrix_sequence",
     "miles_number",
@@ -119,8 +118,6 @@ class ExactSequence:
     """Values alpha_0..alpha_n of one sequence, all exact rationals."""
 
     values: tuple[Fraction, ...]
-    coefficients: CoefficientVector
-    seeds: SeedState
 
 
 def _inputs(coeffs: CoefficientVector, seeds: SeedState, n: int, name: str):
@@ -140,20 +137,9 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
     if any(c.denominator != 1 for c in coeffs.values):
         values = _exact.rational_recurrence(lams, window, n_max)
         if values is not None:
-            return ExactSequence(tuple(values), coeffs, seeds)
+            return ExactSequence(tuple(values))
     values = _exact.iterate(lams, window, n_max)
-    return ExactSequence(_exact.fractions(values, d), coeffs, seeds)
-
-
-def companion_rows(coeffs: CoefficientVector) -> tuple[tuple[Fraction, ...], ...]:
-    """Companion matrix rows: superdiagonal ones, last row (lambda_k..lambda_1)."""
-    k = coeffs.k
-    zero, one = Fraction(0), Fraction(1)
-    rows = [
-        tuple(one if c == r + 1 else zero for c in range(k)) for r in range(k - 1)
-    ]
-    rows.append(tuple(coeffs.values[k - 1 - c] for c in range(k)))
-    return tuple(rows)
+    return ExactSequence(_exact.fractions(values, d))
 
 
 def matrix_power_sequence(coeffs: CoefficientVector, seeds: SeedState, n: int) -> tuple[Fraction, ...]:
@@ -174,7 +160,7 @@ def matrix_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> 
     w_{(j+1)k} = T^k w_{jk} from the seed window w_0, O(n_max * k) products."""
     d, lams, window = _inputs(coeffs, seeds, n_max, "n_max")
     values = _exact.companion_sequence(lams, window, n_max)
-    return ExactSequence(_exact.fractions(values, d), coeffs, seeds)
+    return ExactSequence(_exact.fractions(values, d))
 
 
 def miles_number(k: int, m: int) -> int:

@@ -38,13 +38,12 @@ from .errors import (
     NonConvergenceError,
     RepeatedRootsError,
 )
-from .recurrence import CoefficientVector, SeedState, companion_rows, iterate_sequence
+from .recurrence import CoefficientVector, SeedState, iterate_sequence
 
 __all__ = [
     "CompanionMatrix",
     "MixedStateMatrix",
     "RootSet",
-    "BinetForm",
     "RatioLimitReport",
     "StochasticReport",
     "char_poly",
@@ -75,7 +74,11 @@ class CompanionMatrix:
 
     @classmethod
     def from_coefficients(cls, coeffs: CoefficientVector) -> "CompanionMatrix":
-        return cls(coeffs.k, companion_rows(coeffs))
+        k = coeffs.k
+        zero, one = Fraction(0), Fraction(1)
+        rows = [tuple(one if c == r + 1 else zero for c in range(k)) for r in range(k - 1)]
+        rows.append(coeffs.values[::-1])
+        return cls(k, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -294,18 +297,15 @@ def find_roots(poly: Sequence, tol: float = 1e-13, max_iter: int = 500) -> RootS
     return RootSet(tuple(z), 0, condition, iterations, worst)
 
 
-@dataclass(frozen=True)
-class BinetForm:
-    """Mode coefficients c_i with alpha_n = sum_i c_i root_i^n."""
-
-    coefficients: tuple[complex, ...]
-
-
-def binet_form(coeffs: CoefficientVector, seeds: SeedState, roots: RootSet) -> BinetForm:
-    """Solve for the mode coefficients from the extended seed window.
+def binet_form(coeffs: CoefficientVector, seeds: SeedState, roots: RootSet) -> tuple[complex, ...]:
+    """The mode coefficients c_i with alpha_n = sum_i c_i root_i^n, solved
+    from the extended seed window.
 
     The k x k Vandermonde-type system matches alpha_n at n = -(k-1)..0.
     Refuses root sets whose minimal separation is below BINET_MIN_SEPARATION.
+    FloatRangeError names n when the seed alpha_n or a root's power root^n
+    of the system is beyond the float64 range (a root that is 0.0 in
+    float64 has no negative power).
     """
     k = coeffs.k
     if len(roots.roots) != k:
@@ -318,27 +318,34 @@ def binet_form(coeffs: CoefficientVector, seeds: SeedState, roots: RootSet) -> B
     b = np.zeros(k, dtype=complex)
     for row in range(k):
         n = -(k - 1) + row
+        try:
+            b[row] = float(seeds.extended[row])
+        except OverflowError:
+            raise FloatRangeError("seed value", n) from None
         for col in range(k):
-            a[row, col] = roots.roots[col] ** n
-        b[row] = float(seeds.extended[row])
+            try:
+                a[row, col] = roots.roots[col] ** n
+            except (OverflowError, ZeroDivisionError):
+                raise FloatRangeError(f"power of root {col + 1}", n) from None
     sol = np.linalg.solve(a, b)
-    return BinetForm(tuple(complex(c) for c in sol))
+    return tuple(complex(c) for c in sol)
 
 
-def binet_eval(form: BinetForm, roots: RootSet, n: int) -> float:
-    """Evaluate the Binet form at level n (n >= -(k-1)).
+def binet_eval(coefficients: Sequence[complex], roots: RootSet, n: int) -> float:
+    """alpha_n = sum_i c_i root_i^n at level n (n >= -(k-1)), the c_i the
+    mode coefficients that binet_form gives.
 
     The result of the complex mode sum must be essentially real: the
     imaginary residue is required below IMAG_RESIDUE_LIMIT * max(1, |real part|),
     else ImaginaryResidueError. FloatRangeError names n when a power or
     the sum overflows float64.
     """
-    k = len(form.coefficients)
+    k = len(coefficients)
     if n < -(k - 1):
         raise ValueError(f"n must be >= -(k-1) = {-(k - 1)}")
     try:
-        value = sum((c * root**n for c, root in zip(form.coefficients, roots.roots)), 0j)
-    except OverflowError:
+        value = sum((c * root**n for c, root in zip(coefficients, roots.roots)), 0j)
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not cmath.isfinite(value):
         raise FloatRangeError("Binet value", n)
@@ -386,8 +393,8 @@ def ratio_limit_check(
     sub = max(others) if others else 0.0
     if sub >= abs(dom):
         raise ComputationError("dominant root is not strictly separated in modulus")
-    form = binet_form(coeffs, seeds, roots)
-    if abs(form.coefficients[roots.dominant]) <= tol:
+    modes = binet_form(coeffs, seeds, roots)
+    if abs(modes[roots.dominant]) <= tol:
         raise DominantModeAbsentError(
             "seed state has no component along the dominant mode"
         )

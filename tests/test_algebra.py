@@ -31,7 +31,6 @@ from kbonacci import (
     GHASpec,
     NonUnitaryRepresentationError,
     SpectrumRow,
-    TruncatedOps,
     TruncationTooSmallError,
     extend_seeds,
     iterate_sequence,
@@ -569,17 +568,17 @@ class TestPhysicality:
 
 class TestTruncatedOps:
     def test_fibonacci_dim4(self):
-        ops = truncated_operators(linear_spec((1, 1), (1, 0)), 4)
-        rows = ops.table.rows
-        assert len(rows) == ops.dim == 4
+        table = truncated_operators(linear_spec((1, 1), (1, 0)), 4)
+        rows = table.rows
+        assert len(rows) == len(table.rows) == 4
         # raising carries N_0..N_2 on its subdiagonal
         assert [r.norm for r in rows[:3]] == pytest.approx([0.0, 1.0, math.sqrt(2.0)])
         assert [r.alphas[0] for r in rows] == [1, 1, 2, 3]  # H
         assert [r.alphas[1] for r in rows] == [0, 1, 1, 2]  # J_2
 
     def test_k3_dim3(self):
-        ops = truncated_operators(linear_spec((2, 1, 2), (1, 0, 0)), 3)
-        rows = ops.table.rows
+        table = truncated_operators(linear_spec((2, 1, 2), (1, 0, 0)), 3)
+        rows = table.rows
         assert [r.norm for r in rows[:2]] == pytest.approx([1.0, 2.0])
         assert all(len(r.alphas) == 3 for r in rows)  # H, J_2, J_3
 
@@ -595,12 +594,30 @@ class TestTruncatedOps:
             truncated_operators(spec, 4)
         assert err.value.level == 1
 
+    @pytest.mark.parametrize("arithmetic", ["exact", "float64"])
+    def test_is_the_spectrum_table(self, arithmetic):
+        # The truncation to dim levels is the spectrum table of levels 0..dim-1.
+        spec = linear_spec((2, 1, 2), (1, 0, 0), arithmetic)
+        for dim in (1, 3, 7):
+            assert truncated_operators(spec, dim) == spectrum(spec, dim - 1)
+        # A spectrum past the first negative N^2 exists; its truncation does not.
+        spec = GHASpec(
+            functions=(AffineFunction(F(1)), AffineFunction(F(-1))),
+            vacuum=(F(1), F(0)),
+            arithmetic=arithmetic,
+        )
+        level = spectrum(spec, 5).first_negative_norm_sq
+        assert level == 1
+        with pytest.raises(NonUnitaryRepresentationError) as err:
+            truncated_operators(spec, 6)
+        assert err.value.level == level
+
 
 class TestVerify:
     @pytest.mark.parametrize("spec", EXACT_SPECS)
     def test_exact_residuals_vanish(self, spec):
-        ops = truncated_operators(spec, max(spec.k + 2, 5))
-        report = verify_relations(ops, spec)
+        table = truncated_operators(spec, max(spec.k + 2, 5))
+        report = verify_relations(table, spec)
         assert report.all_passed
         for entry in report.entries:
             assert entry.residual == 0, entry.label
@@ -609,8 +626,8 @@ class TestVerify:
         for k in (2, 3):
             for lams in product((1, 2), repeat=k):
                 spec = linear_spec(lams, (1,) + (0,) * (k - 1), "float64")
-                ops = truncated_operators(spec, 8)
-                report = verify_relations(ops, spec, tol=1e-10)
+                table = truncated_operators(spec, 8)
+                report = verify_relations(table, spec, tol=1e-10)
                 assert report.all_passed, (lams, [e.residual for e in report.entries])
                 assert report.max_residual <= 1e-10
 
@@ -629,25 +646,25 @@ class TestVerify:
 
     def test_truncation_too_small(self):
         spec = linear_spec((2, 1, 2), (1, 0, 0))
-        ops = truncated_operators(spec, 5)
+        table = truncated_operators(spec, 5)
         # building a tiny truncation is fine; verifying relations on it is not
         small = truncated_operators(spec, 2)
         with pytest.raises(TruncationTooSmallError):
             verify_relations(small, spec)
         with pytest.raises(ValueError):
-            verify_relations(ops, spec, tol=0.0)
+            verify_relations(table, spec, tol=0.0)
 
     def test_dim1_is_vacuum_only(self):
-        ops = truncated_operators(linear_spec((2, 1, 2), (1, 0, 0)), 1)
+        table = truncated_operators(linear_spec((2, 1, 2), (1, 0, 0)), 1)
         # one level, so the raising and lowering bands are empty
-        (row,) = ops.table.rows
+        (row,) = table.rows
         assert row.alphas == (1, 0, 0)
 
     def test_float_matches_exact_operators(self):
         exact = linear_spec((2, 1, 2), (1, 0, 0))
         floaty = linear_spec((2, 1, 2), (1, 0, 0), "float64")
-        a = truncated_operators(exact, 6).table.rows
-        b = truncated_operators(floaty, 6).table.rows
+        a = truncated_operators(exact, 6).rows
+        b = truncated_operators(floaty, 6).rows
         assert [r.norm for r in b] == pytest.approx([r.norm for r in a], rel=1e-12, abs=1e-12)
         energies = [float(r.alphas[0]) for r in a]
         assert [r.alphas[0] for r in b] == pytest.approx(energies, rel=1e-12, abs=1e-12)
@@ -675,11 +692,11 @@ class TestVerify:
         fns = tuple(ExpressionFunction(parse(t)) for t in texts)
         vacuum = (F(1, 10), F(1, 5), F(1, 3), F(2, 7))
         spec = GHASpec(functions=fns, vacuum=vacuum, arithmetic="float64")
-        ops = truncated_operators(spec, 40)
+        table = truncated_operators(spec, 40)
         f1 = float_evaluator(fns[0].node)
-        squares = [row.norm * row.norm for row in ops.table.rows[:-1]]
+        squares = [row.norm * row.norm for row in table.rows[:-1]]
         worst = 0.0
-        for n, row in enumerate(ops.table.rows[:-1]):
+        for n, row in enumerate(table.rows[:-1]):
             energy, *ladders = row.alphas
             rhs = f1(energy)
             for value in ladders:
@@ -688,7 +705,7 @@ class TestVerify:
             lhs = squares[n] - raised
             terms = (lhs, rhs - energy, squares[n], raised, rhs, energy)
             worst = max(worst, abs(lhs - (rhs - energy)) / max(1.0, *map(abs, terms)))
-        (entry,) = [e for e in verify_relations(ops, spec).entries if e.label == "[lowering,raising]"]
+        (entry,) = [e for e in verify_relations(table, spec).entries if e.label == "[lowering,raising]"]
         assert entry.residual == worst == 3.3039065911324975e-16
 
     def test_float_fibonacci_passes_at_large_dim(self):
@@ -699,24 +716,25 @@ class TestVerify:
             assert report.all_passed, (dim, [e.residual for e in report.entries])
 
 
-def dense_matrices(ops):
-    """H, raising, lowering and the J_i (i = 2..k) of ops as dense float64."""
-    rows = ops.table.rows
+def dense_matrices(table):
+    """H, raising, lowering and the J_i (i = 2..k) of the truncation table
+    as dense float64."""
+    rows = table.rows
     diagonals = np.array([[float(a) for a in row.alphas] for row in rows])
     raising = np.diag(np.array([row.norm for row in rows[:-1]], dtype=float), -1)
     h, *js = (np.diag(column) for column in diagonals.T)
     return h, raising, raising.T.copy(), js
 
 
-def dense_residuals(ops, spec):
-    """Every relation on the dense float64 matrices of ops, by label.
+def dense_residuals(table, spec):
+    """Every relation on the dense float64 matrices of table, by label.
 
     Each matrix entry's residual is |lhs - rhs| / max(1, largest |term|),
     the terms being the dense products the relation is made of; the worst
     entry over the rows and columns unaffected by truncation is reported.
     """
-    dim, k = ops.dim, spec.k
-    h, ad, a, js = dense_matrices(ops)
+    dim, k = len(table.rows), spec.k
+    h, ad, a, js = dense_matrices(table)
     f = [np.diag([float(fn(float(x))) for x in np.diag(h)]) for fn in spec.functions]
 
     def worst(lhs, rhs, *parts, rows=None, cols=None):
@@ -746,17 +764,17 @@ class TestDenseOracle:
     @pytest.mark.parametrize("spec", EXACT_SPECS)
     def test_band_matches_dense(self, spec):
         dim = max(spec.k + 2, 9)
-        ops = truncated_operators(spec, dim)
-        report = verify_relations(ops, spec)
-        oracle = dense_residuals(ops, spec)
+        table = truncated_operators(spec, dim)
+        report = verify_relations(table, spec)
+        oracle = dense_residuals(table, spec)
         assert [e.label for e in report.entries] == list(oracle)
         for entry in report.entries:
             assert entry.residual == 0, entry.label
             assert oracle[entry.label] <= report.tol, entry.label
         twin = float_twin(spec)
-        ops = truncated_operators(twin, dim)
-        report = verify_relations(ops, twin)
-        oracle = dense_residuals(ops, twin)
+        table = truncated_operators(twin, dim)
+        report = verify_relations(table, twin)
+        oracle = dense_residuals(table, twin)
         assert report.all_passed
         for entry in report.entries:
             assert abs(entry.residual - oracle[entry.label]) <= report.tol, entry.label
@@ -767,13 +785,12 @@ class TestDenseOracle:
         # entries that level enters; both evaluations must find the same
         # worst entry, so neither may skip or add a column.
         twin = float_twin(spec)
-        ops = truncated_operators(twin, max(spec.k + 2, 9))
-        rows = ops.table.rows
+        table = truncated_operators(twin, max(spec.k + 2, 9))
+        rows = table.rows
         for m, row in enumerate(rows):
             nsq = row.nsq + 0.25
             bumped = SpectrumRow(m, tuple(a + 1 / 3 for a in row.alphas), nsq, math.sqrt(nsq))
-            table = replace(ops.table, rows=rows[:m] + (bumped,) + rows[m + 1 :])
-            broken = TruncatedOps(ops.dim, table)
+            broken = replace(table, rows=rows[:m] + (bumped,) + rows[m + 1 :])
             report = verify_relations(broken, twin)
             oracle = dense_residuals(broken, twin)
             assert not report.all_passed, m
@@ -782,7 +799,7 @@ class TestDenseOracle:
                 assert entry.residual == want, (m, entry.label)
 
 
-def fraction_band_report(ops, spec, tol=1e-10):
+def fraction_band_report(table, spec, tol=1e-10):
     """The exact band residuals of verify_relations, written out on
     Fractions: (label, residual, passed) per relation.
 
@@ -790,7 +807,7 @@ def fraction_band_report(ops, spec, tol=1e-10):
     weight*lhs - weight*rhs with further terms parts has residual
     |weight| |lhs - rhs| / max(1, |weight| * largest |term|), converted to a
     float once."""
-    rows = ops.table.rows
+    rows = table.rows
     fns = [lambda x, a=a, b=b: a * x + b for a, b in spec.affine_forms]
     energy = [F(row.alphas[0]) for row in rows]
     nsq = [F(row.nsq) for row in rows]
@@ -806,7 +823,7 @@ def fraction_band_report(ops, spec, tol=1e-10):
                 out = max(out, float(diff / scale if weight * scale > 1 else weight * diff))
         return out
 
-    dim = ops.dim
+    dim = len(rows)
     report = [("H.raising", worst((nsq[n], energy[n + 1], sums[n]) for n in range(dim - 1)))]
     for i in range(2, spec.k + 1):
         band = []
@@ -831,13 +848,12 @@ class TestExactBandsOnBrokenTables:
         # runs integral values as ints, and a level bumped by 1/3 mixes ints
         # with Fractions. Every residual must be the Fraction evaluation's
         # float, bit for bit.
-        ops = truncated_operators(spec, max(spec.k + 2, 9))
-        rows = ops.table.rows
+        table = truncated_operators(spec, max(spec.k + 2, 9))
+        rows = table.rows
         for m, row in enumerate(rows):
             nsq = row.nsq + bump
             bumped = SpectrumRow(m, tuple(a + bump for a in row.alphas), nsq, math.sqrt(nsq))
-            table = replace(ops.table, rows=rows[:m] + (bumped,) + rows[m + 1 :])
-            broken = TruncatedOps(ops.dim, table)
+            broken = replace(table, rows=rows[:m] + (bumped,) + rows[m + 1 :])
             report = verify_relations(broken, spec)
             got = [(e.label, e.residual, e.passed) for e in report.entries]
             assert repr(got) == repr(fraction_band_report(broken, spec)), m

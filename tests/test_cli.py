@@ -194,6 +194,14 @@ class TestSpecFileErrors:
         assert main(["spectrum", write_spec(tmp_path, data)]) == 1
         assert "extra" in capsys.readouterr().err
 
+    def test_unknown_tolerance_key(self, tmp_path, capsys):
+        # A misspelt key would otherwise leave verify at its default tol.
+        data = dict(SPEC_212, tolerances={"verfy": 1e-3, "verify": 1e-3})
+        assert main(["verify", write_spec(tmp_path, data), "--dim", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: field 'tolerances': unknown fields ['verfy']\n"
+
     def test_missing_file(self, capsys):
         assert main(["spectrum", "/nonexistent/spec.json"]) == 1
         assert "spec file" in capsys.readouterr().err
@@ -312,9 +320,28 @@ class TestSequenceCommand:
             errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
             assert errors == ["error: Binet value at n=1475 is beyond the float64 range"]
 
+    @pytest.mark.parametrize(
+        "coeffs,seeds,error",
+        [
+            ("1,1", "1e400,0", "seed value at n=0"),
+            ("1,1e-320", "1,1", "seed value at n=-1"),
+            ("1,1,1e-310", "1,1,1", "seed value at n=-2"),
+            ("1,1e-320", "1,0", "power of root 2 at n=-1"),
+            ("1,1,1e-310", "1,0,0", "power of root 3 at n=-2"),
+        ],
+    )
+    def test_binet_system_beyond_float_range_exits_3(self, coeffs, seeds, error, capsys):
+        # A seed of the window or a power of a root (one that is 0.0 in
+        # float64 included) that leaves the float range is named.
+        argv = ["sequence", "--coeffs", coeffs, "--seeds", seeds, "-n", "3", "--method", "binet"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error} is beyond the float64 range\n"
+
     def test_check_reference_overflow_exits_3(self, monkeypatch, capsys):
         # A Binet value that stays finite while the exact reference does not fit a float.
-        monkeypatch.setattr(cli.spectral, "binet_eval", lambda form, roots, m: 0.0)
+        monkeypatch.setattr(cli.spectral, "binet_eval", lambda modes, roots, m: 0.0)
         argv = ["sequence", "--coeffs", "1,1", "-n", "1500", "--method", "binet", "--check"]
         assert main(argv) == 3
         captured = capsys.readouterr()
@@ -383,6 +410,9 @@ _FUZZ_ITEMS = st.one_of(
     st.integers(min_value=-20, max_value=20).map(str),
     st.sampled_from(["1/0", "x", "", "-", "-1/0", " 2", "1.5", "--1"]),
 )
+# Values whose floats leave the range in the Binet system: a seed beyond
+# it, and coefficients that put a root at or near 0.0.
+_BINET_ITEMS = _FUZZ_ITEMS | st.sampled_from(["1e400", "1e-320", "1e-310"])
 
 
 def run_main(argv):
@@ -420,6 +450,20 @@ class TestSequenceFuzz:
         if rc == 0 and fmt == "json":
             values = json.loads(out, parse_constant=_reject_constant)["values"]
             assert len(values) == n + 1
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(_BINET_ITEMS, min_size=1, max_size=5).map(",".join),
+        st.none() | st.lists(_BINET_ITEMS, min_size=1, max_size=5).map(",".join),
+        st.integers(min_value=0, max_value=60),
+        st.sampled_from(["table", "csv", "json"]),
+    )
+    def test_binet_error_contract(self, coeffs, seeds, n, fmt):
+        argv = ["sequence", "--coeffs", coeffs, "-n", str(n), "--method", "binet", "--format", fmt]
+        if seeds is not None:
+            argv += ["--seeds", seeds]
+        rc, out, err = run_main(argv)
+        check_command_contract(rc, out, err, fmt)
 
 
 @st.composite

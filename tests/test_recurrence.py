@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from kbonacci import _exact
 from kbonacci import (
     CoefficientVector,
+    CompanionMatrix,
     DomainError,
     OrderMismatchError,
-    companion_rows,
     energy_from_miles,
     extend_seeds,
     iterate_sequence,
@@ -132,7 +132,7 @@ class TestSeeds:
 class TestMatrixForm:
     def test_companion_shape(self):
         c = CoefficientVector((F(2), F(3)))
-        rows = companion_rows(c)
+        rows = CompanionMatrix.from_coefficients(c).rows
         assert rows == ((0, 1), (3, 2))
 
     def test_fibonacci_power(self):

@@ -19,7 +19,6 @@ from hypothesis import assume, example, given, strategies as st
 
 from kbonacci import spectral
 from kbonacci import (
-    BinetForm,
     CoefficientVector,
     CompanionMatrix,
     ComputationError,
@@ -304,7 +303,7 @@ class TestBinet:
         roots = find_roots(char_poly(c))
         form = binet_form(c, vacuum_seeds(c), roots)
         # alpha_n = (phi^(n+1) - psi^(n+1))/sqrt(5): dominant weight phi/sqrt(5)
-        assert abs(form.coefficients[0] - PHI / 5**0.5) < 1e-12
+        assert abs(form[0] - PHI / 5**0.5) < 1e-12
 
     def test_fibonacci_value(self):
         c = coeffs_of(1, 1)
@@ -327,7 +326,7 @@ class TestBinet:
 
     def test_imaginary_residue_guard(self):
         roots = RootSet(roots=(1j,), dominant=0, condition=1.0)
-        form = BinetForm(coefficients=(1.0 + 0j,))
+        form = (1.0 + 0j,)
         with pytest.raises(ImaginaryResidueError):
             binet_eval(form, roots, 1)
 
@@ -344,10 +343,17 @@ class TestBinet:
     def test_non_finite_sum_names_n(self):
         # Every power is finite; the product with the mode coefficient is not.
         roots = RootSet(roots=(1e10 + 0j,), dominant=0, condition=1.0)
-        form = BinetForm(coefficients=(1e300 + 0j,))
+        form = (1e300 + 0j,)
         assert binet_eval(form, roots, 0) == 1e300
         with pytest.raises(FloatRangeError, match="n=30"):
             binet_eval(form, roots, 30)
+
+    def test_zero_root_negative_power_names_n(self):
+        # A root that is 0.0 in float64 has no negative power.
+        roots = RootSet(roots=(1.0 + 0j, 0j), dominant=0, condition=1.0)
+        assert binet_eval((1.0 + 0j, 1.0 + 0j), roots, 0) == 2.0
+        with pytest.raises(FloatRangeError, match="n=-1"):
+            binet_eval((1.0 + 0j, 1.0 + 0j), roots, -1)
 
     @given(
         st.integers(min_value=2, max_value=4).flatmap(
@@ -415,6 +421,20 @@ class TestRatioLimit:
         with pytest.raises(DominantModeAbsentError):
             ratio_limit_check(c, seeds, 30)
 
+    @pytest.mark.parametrize(
+        "lams,seed_vals,error",
+        [
+            ((1, 1), (10**400, 0), "seed value at n=0"),
+            ((1, F(1, 10**320)), (1, 0), "power of root 2 at n=-1"),
+        ],
+    )
+    def test_binet_system_beyond_float_range(self, lams, seed_vals, error):
+        c = coeffs_of(*lams)
+        seeds = extend_seeds(c, seed_vals[0], seed_vals[1:])
+        with pytest.raises(FloatRangeError) as info:
+            ratio_limit_check(c, seeds, 10)
+        assert str(info.value) == f"{error} is beyond the float64 range"
+
 
 class TestStochastic:
     def test_half_half(self):
@@ -462,9 +482,7 @@ class TestStochastic:
         assert sum(pi) == 1
         assert all(p >= 0 for p in pi)
         # exact fixed point of the transpose companion action
-        from kbonacci import companion_rows
-
-        rows = companion_rows(c)
+        rows = CompanionMatrix.from_coefficients(c).rows
         k = c.k
         for r in range(k):
             assert sum(rows[col][r] * pi[col] for col in range(k)) == pi[r]
