@@ -10,12 +10,18 @@ integers the same way. as_fraction is the one coercion of exact inputs.
 Iteration with non-integral coefficients, which same_arithmetic leaves on
 Fractions, runs on ints too (rational_recurrence): each value's denominator
 is a product of the primes of the input denominators, so tracking their
-exponents keeps every value in lowest terms with no gcd. reduced builds a
-Fraction from such a pair by writing its two slots, with neither a gcd nor
-Fraction's argument dispatch; fractions writes the slots of a whole
-column of ints the same way, one slot at a time.
+exponents keeps every value in lowest terms with no gcd. Each window value
+also carries its numerator's residue modulo the product of those primes,
+which tells a step whether a prime divides its sum, so a step that cancels
+nothing divides no long value, and one that does divides its denominator
+once. reduced builds a Fraction from such a pair by writing its two slots,
+with neither a gcd nor Fraction's argument dispatch; fractions and
+rational_recurrence write the slots of a whole column of pairs the same way,
+one slot at a time.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
-14(1)), k^2 products per squaring against k^3 for a matrix product.
+14(1)), k^2 products per squaring against k^3 for a matrix product. With
+non-integral coefficients they run on ints as well, for x = y/q
+(rational_companion_power), and each result is one Fraction.
 iterate and companion_sequence, the recurrence's two routes, and mat_vec
 use only exact +, - and *, so they also run unchanged on decimal.Decimal in
 an exact context, as the command line does for integer values. squarefree
@@ -71,12 +77,17 @@ def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
         if d != 1:
             return tuple(Fraction(x, d) for x in values)
         return tuple(x if type(x) is Fraction else reduced(x, 1) for x in values)
-    out = tuple(map(_new, repeat(Fraction, len(values))))
     if d == 1:
-        numerators, denominators = values, repeat(1)
-    else:
-        g = list(map(gcd, values, repeat(d)))
-        numerators, denominators = map(floordiv, values, g), map(floordiv, repeat(d), g)
+        return _written(values, repeat(1), len(values))
+    g = list(map(gcd, values, repeat(d)))
+    return _written(map(floordiv, values, g), map(floordiv, repeat(d), g), len(values))
+
+
+def _written(numerators, denominators, size: int, container=tuple):
+    """A container of size new Fractions from reduced pairs with positive
+    denominators, written one slot at a time for the whole container, as
+    reduced writes one."""
+    out = container(map(_new, repeat(Fraction, size)))
     deque(map(_set_numerator, out, numerators), 0)
     deque(map(_set_denominator, out, denominators), 0)
     return out
@@ -134,16 +145,23 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
     and window hold Fractions. None when prime_factors cannot factor the
     lcm of their denominators: the caller then iterates on Fractions.
 
-    Every denominator is a product of powers of those primes P. A nonzero
-    value is held as (numerator, denominator, exponents e_p of P in the
-    denominator), zero as None, and lams[i] = L_i prod p^u_ip with L_i an
-    integer prime to P. A step takes E_p = max(0, max_i(e_ip - u_ip)) over
-    the nonzero terms, so that every term is a multiple of 1/prod p^E_p,
-    the sum X = sum_i L_i prod p^(E_p - e_ip + u_ip) numerator_i, and
-    D = prod p^E_p, then divides X and D by p while p | X and E_p > 0. What
-    is left is coprime with D > 0: no prime of D divides X. The loop has
-    only big-by-small products, sums and exact divisions by a small prime,
-    and no gcd.
+    Every denominator is a product of powers of those primes P. A value is
+    held as its numerator and denominator, and, while it is in the window,
+    the exponents e_p of P in its denominator (None for zero) and its
+    numerator's residue mod M = prod P. lams[i] = L_i prod p^u_ip with L_i
+    an integer prime to P. A step takes E_p = max(0, max_i(e_ip - u_ip))
+    over the nonzero terms, so that every term is a multiple of
+    1/prod p^E_p, the sum X = sum_i m_i numerator_i with
+    m_i = L_i prod p^(E_p - e_ip + u_ip), and D = prod p^E_p, then divides X
+    by p while p | X and E_p > 0, and D once by the product q of those
+    divisions. What is left is coprime with D > 0: no prime of D divides X.
+    Whether p divides X is read from R = sum_i (m_i mod M) r_i mod M, r_i
+    the terms' residues, so a step that cancels no prime does no division
+    of a long value; after each division by p the residue is taken again.
+    The loop has only big-by-small products, sums, and exact // and % by
+    small ints, one division of the denominator per step at most, and no
+    gcd. The values are kept in growing lists read by negative index, as
+    in iterate, and become Fractions by writing their slots in bulk.
 
     Only the differences of the exponents matter to a step, so its small
     factors are computed once per window shape (see shape_of), and the next
@@ -152,6 +170,7 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
     primes = prime_factors(lcm(*(x.denominator for x in (*lams, *window))))
     if primes is None:
         return None
+    modulus = prod(primes)
 
     def split(x):  # (x / prod p^e_p, e) for an integer x != 0
         e = []
@@ -167,39 +186,53 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
     for lam in lams:
         L, up = split(lam.numerator)
         terms.append((L, tuple(map(sub, up, split(lam.denominator)[1]))))
-    held = deque(maxlen=len(lams))  # newest first, so held[i] pairs with lams[i]
-    for x in window:
-        held.appendleft((x.numerator, x.denominator, split(x.denominator)[1]) if x else None)
+    k = len(lams)
+    # alpha_{m-i} is numerators[-1 - i], as in iterate; the exponents and
+    # residues of the last k values are windows of the same order.
+    numerators = [x.numerator for x in window]
+    denominators = [x.denominator for x in window]
+    exponents = deque((split(x.denominator)[1] if x else None for x in window), maxlen=k)
+    residues = deque((x % modulus for x in numerators), maxlen=k)
     shapes = {}
 
     def shape_of():
-        """(step data, b) for the held window, b the exponents of its first
+        """(step data, b) for the window, b the exponents of its newest
         nonzero entry; (None, None) when every entry is zero.
 
-        The shape is the exponents relative to b, rel_i = e_i - b. With
-        dE = max_i(rel_i - u_i), the step data are the multipliers
-        L_i prod p^(dE - rel_i + u_i) of the nonzero entries, the index of
-        the first one, dE, prod p^dE split as p^+dE / p^-dE (D is that times
-        the first entry's denominator), and the next shapes by division
-        counts. E = b + dE unless a component is negative, where every term
-        is a multiple of p: E_p is then 0.
+        The shape is the exponents relative to b, rel_i = e_i - b, newest
+        first. With dE = max_i(rel_i - u_i), the multipliers are
+        m_i = L_i prod p^(dE - rel_i + u_i) of the nonzero entries. The
+        step data are the newest nonzero entry's index, m_i and m_i mod M,
+        the (index, m_i, m_i mod M) of the others, dE, whether dE has a
+        negative component, prod p^dE split as p^+dE / p^-dE (D is that
+        times the newest entry's denominator), and the next shapes by
+        division counts. E = b + dE unless a component is negative, where
+        every term is a multiple of p: E_p is then 0.
         """
-        b = next((h[2] for h in held if h), None)
+        b = next((e for e in reversed(exponents) if e is not None), None)
         if b is None:
             return None, None
-        key = tuple(h and tuple(map(sub, h[2], b)) for h in held)
+        key = tuple(None if e is None else tuple(map(sub, e, b)) for e in reversed(exponents))
         step = shapes.get(key)
         if step is None:
             live = [
-                (i, L, tuple(map(sub, rel, u)))
+                (-1 - i, L, tuple(map(sub, rel, u)))
                 for i, (rel, (L, u)) in enumerate(zip(key, terms))
                 if rel is not None
             ]
             dE = tuple(max(c) for c in zip(*(s for _, _, s in live)))
+            multipliers = []
+            for i, L, s in live:
+                m = L * power(map(sub, dE, s))
+                multipliers.append((i, m, m % modulus))
+            (first, m, r), *rest = multipliers
             step = shapes[key] = (
-                tuple((i, L * power(map(sub, dE, s))) for i, L, s in live),
-                live[0][0],
+                first,
+                m,
+                r,
+                tuple(rest),
                 dE,
+                min(dE, default=0) < 0,
                 power(max(d, 0) for d in dE),
                 power(max(-d, 0) for d in dE),
                 {},
@@ -208,35 +241,52 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
 
     step, b = shape_of()
     no_divisions = (0,) * len(primes)
-    values = [window[-1]]
     for _ in range(n):
         X = 0
         if step:
-            multipliers, first, dE, times, over, follow = step
-            for i, m in multipliers:
-                X += m * held[i][0]
+            first, m, r, rest, dE, clips, times, over, follow = step
+            X = m * numerators[first]
+            R = r * residues[first]
+            for i, m, r in rest:
+                X += m * numerators[i]
+                R += r * residues[i]
         if not X:
-            held.appendleft(None)
-            values.append(reduced(0, 1))
+            numerators.append(0)
+            denominators.append(1)
+            exponents.append(None)
+            residues.append(0)
             step, b = shape_of()
             continue
         E = tuple(map(add, b, dE))
-        clipped = min(E, default=0) < 0
+        clipped = clips and min(E) < 0
         if clipped:
-            X *= power(max(-x, 0) for x in E)
+            c = power(max(-x, 0) for x in E)
+            X *= c
+            R *= c
             E = tuple(max(x, 0) for x in E)
-            D = power(E)
+            D, q = power(E), 1
         else:
-            D = held[first][1] * times
-            if over != 1:
-                D //= over
+            D, q = denominators[first] * times, over
+        R %= modulus
         counts = no_divisions
-        for ep, p in zip(E, primes):
-            if ep and X % p == 0:
-                X, D, E, counts = _divide_out(primes, X, D, E)
+        for p in primes:
+            if not R % p:  # some prime divides X: divide out those of D
+                E, counts = list(E), [0] * len(primes)
+                for j, prime in enumerate(primes):
+                    while E[j] and not R % prime:
+                        X //= prime
+                        R = X % modulus
+                        E[j] -= 1
+                        counts[j] += 1
+                        q *= prime
+                E, counts = tuple(E), tuple(counts)
                 break
-        held.appendleft((X, D, E))
-        values.append(reduced(X, D))
+        if q != 1:
+            D //= q
+        numerators.append(X)
+        denominators.append(D)
+        exponents.append(E)
+        residues.append(R)
         if clipped:
             step, b = shape_of()
         else:
@@ -244,22 +294,8 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
             if nxt is None:
                 nxt = follow[counts] = shape_of()[0]
             step, b = nxt, E
-    return values
-
-
-def _divide_out(primes, X, D, E):
-    """X/q, D/q, the exponents of D/q and how often each p divides q, for
-    q the largest product of p^c_p (c_p <= E_p) that divides X."""
-    E, counts = list(E), []
-    for j, p in enumerate(primes):
-        c = 0
-        while E[j] and X % p == 0:
-            X //= p
-            D //= p
-            E[j] -= 1
-            c += 1
-        counts.append(c)
-    return X, D, tuple(E), tuple(counts)
+    del numerators[: k - 1], denominators[: k - 1]
+    return _written(numerators, denominators, n + 1, list)
 
 
 def mat_mul(a, b):
@@ -306,6 +342,22 @@ def companion_power(lams, e: int):
     for _ in range(k - 1):
         rows.append(times_x(rows[-1]))
     return rows
+
+
+def rational_companion_power(lams, window, e: int) -> tuple[Fraction, ...]:
+    """T**e applied to window (both Fractions) as reduced Fractions, by
+    companion_power on ints: with q the lcm of the coefficients'
+    denominators, x = y/q turns chi into the integral
+    psi(y) = y^k - sum_i mu_i y^(k-i), mu_i = lams[i-1] q^i. If row i of
+    psi's power holds W_ij, x^(e+i) = sum_j W_ij q^j x^j / q^(e+i) mod chi,
+    so with window = r/d, r integral, result i is
+    Fraction(sum_j W_ij q^j r_j, q^(e+i) d): one gcd per result."""
+    q = lcm(*(c.denominator for c in lams))
+    mus = [c.numerator * (q**i // c.denominator) for i, c in enumerate(lams, 1)]
+    d = lcm(1, *(x.denominator for x in window))
+    scaled = [x.numerator * (d // x.denominator) * q**j for j, x in enumerate(window)]
+    qed = q**e * d
+    return tuple(Fraction(x, qed * q**i) for i, x in enumerate(mat_vec(companion_power(mus, e), scaled)))
 
 
 def iterate(lams, window: list, n: int) -> list:

@@ -23,8 +23,11 @@ of values. Iteration with non-integral coefficients runs on ints as well:
 each value is kept in lowest terms from the exponents of the primes of the
 input denominators, with no gcd, and becomes a Fraction by writing its
 reduced pair directly (see _exact.rational_recurrence and _exact.reduced).
-Companion powers with such coefficients stay on Fractions, an independent
-route to check iteration against. Miles' sum computes each of its partial
+Companion powers with such coefficients run on the integers
+mu_i = lambda_i q^i, q the lcm of the coefficients' denominators, and each
+result is divided back once (see _exact.rational_companion_power).
+matrix_sequence stays on Fractions for them, an independent route to check
+iteration against. Miles' sum computes each of its partial
 sums once (see miles_number) and never uses the recurrence. The iteration
 and companion loops themselves are _exact.iterate and
 _exact.companion_sequence, which use only exact +, - and *: the command
@@ -149,8 +152,12 @@ def matrix_power_sequence(coeffs: CoefficientVector, seeds: SeedState, n: int) -
     iterate_sequence(coeffs, seeds, n).values[n]. The rows of T^n are
     x^n, ..., x^(n+k-1) modulo the characteristic polynomial, by square and
     multiply on polynomials (Fiduccia 1985); results are always Fractions.
+    Non-integral coefficients are scaled to integers first (see
+    _exact.rational_companion_power).
     """
     d, lams, window = _inputs(coeffs, seeds, n, "n")
+    if any(c.denominator != 1 for c in coeffs.values):
+        return _exact.rational_companion_power(lams, window, n)
     return _exact.fractions(_exact.mat_vec(_exact.companion_power(lams, n), window), d)
 
 

@@ -74,12 +74,25 @@ def check_recurrence(exact, rng, cases=200):
         assert all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
 
 
+def check_long_runs(exact, n=4000):
+    """Two long runs, from the windows that the seeds (1, 1, 1/3) and
+    (2/3, 1/3) give: one with values of thousands of bits, and a constant
+    one, 2/3, whose every step divides by 2."""
+    for lams, window in [(("1/2", "1/3", "1/6"), ("2", "3", "1")), (("1/2", "1/2"), ("2/3", "2/3"))]:
+        lams, window = list(map(Fraction, lams)), list(map(Fraction, window))
+        got = exact.rational_recurrence(lams, window, n)
+        want = fraction_loop(lams, window, n)
+        assert type(got) is list and got == want
+        assert all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
+
+
 def main() -> int:
     exact = load_exact()
     rng = random.Random(20071)
     try:
         check_reduced(exact, rng)
         check_recurrence(exact, rng)
+        check_long_runs(exact)
     except AssertionError:
         print(f"FAIL on Python {sys.version.split()[0]}")
         raise

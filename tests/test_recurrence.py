@@ -218,9 +218,10 @@ def problem(draw, max_k=6, seed_pool=rationals, min_k=2, coeff_pool=nonzero):
 
 class TestProperties:
     # Integral coefficient vectors take the integer path (rational seeds
-    # scaled to ints), rational ones the prime-exponent kernel
-    # (_exact.rational_recurrence), while the matrix routes stay on
-    # Fractions; both pools hold negative entries.
+    # scaled to ints). Rational ones iterate in the prime-exponent kernel
+    # (_exact.rational_recurrence) and take companion powers on ints scaled
+    # by x = y/q (_exact.rational_companion_power), while matrix_sequence
+    # stays on Fractions; both pools hold negative entries.
     @settings(deadline=None)
     @given(
         st.one_of(
@@ -381,6 +382,17 @@ class TestRationalKernel:
             (("7/10", "-3/14", "1/35"), (1, "1/3", 2), 600),
             (("-1/2", "1/1000003"), (1, "1/3"), 300),
             (("3/2", "-1/2"), ("2/3", 1), 500),  # a value's 3 cancels lambda_1's
+            # The residue path. From the window (1, 3), alpha_1 = (1 + 3)/4:
+            # 2^2 divides the sum, and a later step divides by 2 only once
+            # where D holds 2^2 or more.
+            (("1/4", "1/4"), (3, "1/4"), 200),
+            # From (1/2, 1, 0): every live term is a multiple of 3, which no
+            # denominator holds, so E_3 clips to 0 and X takes the 3.
+            (("1/3", "3/2", "3/4"), (0, "3/2", "3/8"), 200),
+            # From (2, 1): alpha_1 = 0, and nonzero values follow.
+            (("1/2", "-1/4"), (1, "-1/2"), 200),
+            # 65537 in both: from (1/65537, 65537/3).
+            (("65537/2", "1/65537"), ("65537/3", F(1, 65537**2)), 200),
         ],
     )
     def test_explicit_cases(self, lams, seeds, n):
@@ -389,6 +401,12 @@ class TestRationalKernel:
         assert_reduced_and_equal(
             iterate_sequence(coeffs, state, n).values, fraction_oracle(coeffs, state, n)
         )
+
+    def test_zero_then_nonzero(self):
+        # the window (2, 1): alpha_1 = 1/2 - 1/2 = 0, alpha_2 = -1/4
+        coeffs, state = problem_of(("1/2", "-1/4"), (1, "-1/2"))
+        assert state.extended == (2, 1)
+        assert_reduced_and_equal(iterate_sequence(coeffs, state, 2).values, (F(1), F(0), F(-1, 4)))
 
     @pytest.mark.parametrize("lam,seed", [("1/2", 1), ("3/2", "1/3")])
     def test_order_one(self, lam, seed):
@@ -424,6 +442,33 @@ class TestRationalKernel:
     )
     def test_prime_factors(self, d, primes):
         assert _exact.prime_factors(d) == primes
+
+
+class TestRationalCompanion:
+    """Companion powers with non-integral coefficients run on the ints
+    mu_i = lambda_i q^i; each result is one Fraction with denominator
+    q^(n+i) d before reduction."""
+
+    @pytest.mark.parametrize(
+        "lams,seeds,n",
+        [
+            (("1/2", "1/3", "1/6"), (1, 1, "1/3"), 4000),
+            (("7/10", "-3/14", "1/35"), (1, "1/3", 2), 600),
+            (("-1/2", "1/1000003"), (1, "1/3"), 300),
+            (("3/2",), ("1/3",), 300),  # k = 1
+            (("1/2", "1/3", "1/6"), (1, 1, "1/3"), 0),
+            (("1/2", "-1/3", "5/6"), (0, 0, 0), 50),
+            # (2^61 - 1)(2^31 - 1): iteration falls back to Fractions
+            (("1/2", F(1, ((1 << 61) - 1) * ((1 << 31) - 1))), (1, "1/3"), 40),
+        ],
+    )
+    def test_equals_iterate_and_oracle(self, lams, seeds, n):
+        coeffs, state = problem_of(lams, seeds)
+        window = matrix_power_sequence(coeffs, state, n)
+        assert type(window) is tuple
+        head = state.extended[:-1]
+        assert_reduced_and_equal(window, (head + iterate_sequence(coeffs, state, n).values)[-coeffs.k :])
+        assert_reduced_and_equal(window, (head + fraction_oracle(coeffs, state, n))[-coeffs.k :])
 
 
 @st.composite
