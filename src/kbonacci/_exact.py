@@ -19,9 +19,12 @@ with neither a gcd nor Fraction's argument dispatch; fractions and
 rational_recurrence write the slots of a whole column of pairs the same way,
 one slot at a time.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
-14(1)), k^2 products per squaring against k^3 for a matrix product. With
-non-integral coefficients they run on ints as well, for x = y/q
-(rational_companion_power), and each result is one Fraction.
+14(1)), k^2 products per squaring against k^3 for a matrix product. They
+run on ints for any coefficients, for x = y/q, q the lcm of the
+coefficient denominators (rational_companion_power), and each result is
+one Fraction, after the part of q^e that its denominator provably lacks
+is divided out over a coprime base of the denominators (coprime_base),
+which needs no factoring.
 iterate and companion_sequence, the recurrence's two routes, and mat_vec
 use only exact +, - and *, so they also run unchanged on decimal.Decimal in
 an exact context, as the command line does for integer values. squarefree
@@ -34,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm, prod
+from math import ceil, gcd, lcm, prod
 from operator import add, floordiv, sub
 
 
@@ -137,6 +140,26 @@ def _strip(x: int, p: int) -> tuple[int, int]:
         x //= p
         v += 1
     return x, v
+
+
+def coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 of which each of numbers (all >= 1) is
+    a product of powers, by splitting on gcds (factor refinement): no
+    factoring, so it works for denominators prime_factors cannot prove."""
+    base, pending = [], list(numbers)
+    while pending:
+        x = pending.pop()
+        if x == 1:
+            continue
+        for j, b in enumerate(base):
+            g = gcd(x, b)
+            if g != 1:  # b x / g shrinks, so this ends
+                del base[j]
+                pending += (g, b // g, x // g)
+                break
+        else:
+            base.append(x)
+    return base
 
 
 def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
@@ -348,16 +371,50 @@ def rational_companion_power(lams, window, e: int) -> tuple[Fraction, ...]:
     """T**e applied to window (both Fractions) as reduced Fractions, by
     companion_power on ints: with q the lcm of the coefficients'
     denominators, x = y/q turns chi into the integral
-    psi(y) = y^k - sum_i mu_i y^(k-i), mu_i = lams[i-1] q^i. If row i of
-    psi's power holds W_ij, x^(e+i) = sum_j W_ij q^j x^j / q^(e+i) mod chi,
-    so with window = r/d, r integral, result i is
-    Fraction(sum_j W_ij q^j r_j, q^(e+i) d): one gcd per result."""
+    psi(y) = y^k - sum_i mu_i y^(k-i), mu_i = lams[i-1] q^i. If W_j are the
+    coefficients of y^t mod psi, x^t = sum_j W_j q^j x^j / q^t mod chi, so
+    with window = r/d, r integral, result t (t = e, ..., e+k-1) is
+    N_t / (q^t d), N_t = sum_j W_j q^j r_j.
+
+    q^t d can hold far more of a factor than the result's denominator:
+    with lams = (-1/2, 1/65537), alpha_t needs 65537^(t/2), q^t holds
+    65537^t. So the known part of that excess is divided out first. Over
+    a coprime base B of the denominators of lams and window, every
+    denominator is a product of powers of B. For b in B, with
+    g = max_i(v_b(den lams[i-1]) / i) and c = min_j(j g - v_b(den window[j]))
+    over the nonzero entries, every prime p of b gives
+    v_p(alpha_t) >= v_p(b) (c - t g), by induction over the recurrence, as
+    v_p(lams[i-1]) >= -i g v_p(b). So b^(v_b(q^t d) - s) divides N_t for
+    s = max(0, ceil(t g - c)), and result t is
+    (N_t / prod b^(v_b(q^t d) - s)) / prod b^s, whose gcd works on about
+    the reduced sizes; its slots are written as fractions writes them.
+    With integral coefficients q = 1, every s is v_b(d), and this is the
+    integer path of same_arithmetic."""
     q = lcm(*(c.denominator for c in lams))
     mus = [c.numerator * (q**i // c.denominator) for i, c in enumerate(lams, 1)]
     d = lcm(1, *(x.denominator for x in window))
     scaled = [x.numerator * (d // x.denominator) * q**j for j, x in enumerate(window)]
-    qed = q**e * d
-    return tuple(Fraction(x, qed * q**i) for i, x in enumerate(mat_vec(companion_power(mus, e), scaled)))
+    bounds = []
+    for b in coprime_base([x.denominator for x in (*lams, *window)]):
+        g = max(Fraction(_strip(c.denominator, b)[1], i) for i, c in enumerate(lams, 1))
+        c = min((j * g - _strip(x.denominator, b)[1] for j, x in enumerate(window) if x), default=0)
+        bounds.append((b, _strip(q, b)[1], _strip(d, b)[1], g, c))
+    numerators, denominators = [], []
+    for t, x in enumerate(mat_vec(companion_power(mus, e), scaled), e):
+        over = under = 1
+        for b, vq, vd, g, c in bounds:
+            s = max(0, ceil(t * g - c))
+            over *= b ** (t * vq + vd - s)
+            under *= b**s
+        # each test skips a pass over x that would divide by 1
+        if over != 1:
+            x //= over
+        common = gcd(x, under) if under != 1 else 1
+        if common != 1:
+            x, under = x // common, under // common
+        numerators.append(x)
+        denominators.append(under)
+    return _written(numerators, denominators, len(numerators))
 
 
 def iterate(lams, window: list, n: int) -> list:

@@ -23,11 +23,13 @@ of values. Iteration with non-integral coefficients runs on ints as well:
 each value is kept in lowest terms from the exponents of the primes of the
 input denominators, with no gcd, and becomes a Fraction by writing its
 reduced pair directly (see _exact.rational_recurrence and _exact.reduced).
-Companion powers with such coefficients run on the integers
-mu_i = lambda_i q^i, q the lcm of the coefficients' denominators, and each
-result is divided back once (see _exact.rational_companion_power).
-matrix_sequence stays on Fractions for them, an independent route to check
-iteration against. Miles' sum computes each of its partial
+Companion powers with any coefficients run on the integers
+mu_i = lambda_i q^i, q the lcm of the coefficients' denominators (q = 1
+for integral ones), and each result is divided back once, after the part
+of q^n that its denominator provably lacks is divided out (see
+_exact.rational_companion_power). matrix_sequence stays on Fractions for
+non-integral coefficients, an independent route to check iteration
+against. Miles' sum computes each of its partial
 sums once (see miles_number) and never uses the recurrence. The iteration
 and companion loops themselves are _exact.iterate and
 _exact.companion_sequence, which use only exact +, - and *: the command
@@ -123,12 +125,16 @@ class ExactSequence:
     values: tuple[Fraction, ...]
 
 
-def _inputs(coeffs: CoefficientVector, seeds: SeedState, n: int, name: str):
+def _validated(coeffs: CoefficientVector, seeds: SeedState, n: int, name: str):
     if n < 0:
         raise ValueError(f"{name} must be >= 0")
     if len(seeds.extended) != coeffs.k:
         raise OrderMismatchError("seed state extended window length must equal k")
-    return _exact.same_arithmetic(coeffs.values, seeds.extended)
+    return coeffs.values, seeds.extended
+
+
+def _inputs(coeffs: CoefficientVector, seeds: SeedState, n: int, name: str):
+    return _exact.same_arithmetic(*_validated(coeffs, seeds, n, name))
 
 
 def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> ExactSequence:
@@ -151,14 +157,10 @@ def matrix_power_sequence(coeffs: CoefficientVector, seeds: SeedState, n: int) -
     The result is (alpha_{n-k+1}, ..., alpha_n); its last component equals
     iterate_sequence(coeffs, seeds, n).values[n]. The rows of T^n are
     x^n, ..., x^(n+k-1) modulo the characteristic polynomial, by square and
-    multiply on polynomials (Fiduccia 1985); results are always Fractions.
-    Non-integral coefficients are scaled to integers first (see
-    _exact.rational_companion_power).
+    multiply on polynomials (Fiduccia 1985), on ints for any coefficients
+    (see _exact.rational_companion_power); results are always Fractions.
     """
-    d, lams, window = _inputs(coeffs, seeds, n, "n")
-    if any(c.denominator != 1 for c in coeffs.values):
-        return _exact.rational_companion_power(lams, window, n)
-    return _exact.fractions(_exact.mat_vec(_exact.companion_power(lams, n), window), d)
+    return _exact.rational_companion_power(*_validated(coeffs, seeds, n, "n"), n)
 
 
 def matrix_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> ExactSequence:
