@@ -396,7 +396,7 @@ def rational_companion_power(lams, window, e: int) -> tuple[Fraction, ...]:
     scaled = [x.numerator * (d // x.denominator) * q**j for j, x in enumerate(window)]
     bounds = []
     for b in coprime_base([x.denominator for x in (*lams, *window)]):
-        g = max(Fraction(_strip(c.denominator, b)[1], i) for i, c in enumerate(lams, 1))
+        g = max(Fraction(_strip(lam.denominator, b)[1], i) for i, lam in enumerate(lams, 1))
         c = min((j * g - _strip(x.denominator, b)[1] for j, x in enumerate(window) if x), default=0)
         bounds.append((b, _strip(q, b)[1], _strip(d, b)[1], g, c))
     numerators, denominators = [], []

@@ -1,5 +1,5 @@
-"""Check _exact.reduced and rational_recurrence on any CPython, without
-numpy, pytest or an install.
+"""Check _exact.reduced, rational_recurrence and rational_companion_power
+on any CPython, without numpy, pytest or an install.
 
 reduced writes Fraction's private slots, whose names are CPython's, so this
 script compares its results against Fraction on the interpreter it runs
@@ -72,6 +72,9 @@ def check_recurrence(exact, rng, cases=200):
         want = fraction_loop(lams, window, n)
         assert got == want
         assert all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
+        got, want = exact.rational_companion_power(lams, window, n), (window[:-1] + want)[-k:]
+        assert type(got) is tuple and got == tuple(want)
+        assert all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
 
 
 def check_long_runs(exact, n=4000):
@@ -96,7 +99,10 @@ def main() -> int:
     except AssertionError:
         print(f"FAIL on Python {sys.version.split()[0]}")
         raise
-    print(f"ok: reduced and rational_recurrence match Fraction on Python {sys.version.split()[0]}")
+    print(
+        "ok: reduced, rational_recurrence and rational_companion_power match Fraction"
+        f" on Python {sys.version.split()[0]}"
+    )
     return 0
 
 

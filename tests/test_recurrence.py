@@ -443,11 +443,44 @@ class TestRationalKernel:
     def test_prime_factors(self, d, primes):
         assert _exact.prime_factors(d) == primes
 
+    @pytest.mark.parametrize(
+        "numbers,base",
+        [
+            ([], []),
+            ([1, 1], []),
+            ([12, 18], [2, 3]),
+            ([6, 36, 1], [6]),
+            ([4, 2], [2]),
+            ([16, 4], [4]),
+            ([10, 14, 35], [2, 5, 7]),
+            ([((1 << 61) - 1) * ((1 << 31) - 1), 2], [2, ((1 << 61) - 1) * ((1 << 31) - 1)]),
+        ],
+    )
+    def test_coprime_base(self, numbers, base):
+        assert sorted(_exact.coprime_base(numbers)) == base
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**6), max_size=8))
+    def test_coprime_base_properties(self, numbers):
+        base = _exact.coprime_base(numbers)
+        assert all(b > 1 for b in base)
+        assert all(gcd(a, b) == 1 for i, a in enumerate(base) for b in base[i + 1 :])
+        for x in numbers:  # a product of powers of the base
+            for b in base:
+                x = _exact._strip(x, b)[0]
+            assert x == 1
+
 
 class TestRationalCompanion:
-    """Companion powers with non-integral coefficients run on the ints
-    mu_i = lambda_i q^i; each result is one Fraction with denominator
-    q^(n+i) d before reduction."""
+    """Companion powers run on the ints mu_i = lambda_i q^i; each result
+    has denominator q^(n+i) d before the provable excess is divided out
+    and the rest reduced by one gcd."""
+
+    @settings(deadline=None)
+    @given(rational_problem(), st.integers(min_value=0, max_value=150))
+    def test_equals_fraction_oracle(self, problem, n):
+        coeffs, seeds = problem
+        expected = (seeds.extended[:-1] + fraction_oracle(coeffs, seeds, n))[-coeffs.k :]
+        assert_reduced_and_equal(matrix_power_sequence(coeffs, seeds, n), expected)
 
     @pytest.mark.parametrize(
         "lams,seeds,n",
@@ -460,6 +493,17 @@ class TestRationalCompanion:
             (("1/2", "-1/3", "5/6"), (0, 0, 0), 50),
             # (2^61 - 1)(2^31 - 1): iteration falls back to Fractions
             (("1/2", F(1, ((1 << 61) - 1) * ((1 << 31) - 1))), (1, "1/3"), 40),
+            # q^t holds 65537^t, alpha_t needs 65537^(t/2): the excess is
+            # divided out before the gcd
+            (("-1/2", "1/65537"), (1, "1/3"), 1001),
+            # the base element 4 = 2^2, window (1/4, 1): alpha_t needs 2^t,
+            # which is 4^(t/2), so odd t must round the exponent of 4 up
+            (("1", "1/4"), (1, "1/16"), 51),
+            # the composite base element 6, window (1/36, 1/6)
+            (("1", "1/6"), ("1/6", "1/216"), 60),
+            # the unproven denominator again, in lambda_2 only: its excess
+            # is divided out without factoring it
+            (("1", F(1, ((1 << 61) - 1) * ((1 << 31) - 1))), (1, "1/3"), 30),
         ],
     )
     def test_equals_iterate_and_oracle(self, lams, seeds, n):
