@@ -387,7 +387,7 @@ def rational_companion_power(lams, window, e: int) -> tuple[Fraction, ...]:
     v_p(lams[i-1]) >= -i g v_p(b). So b^(v_b(q^t d) - s) divides N_t for
     s = max(0, ceil(t g - c)), and result t is
     (N_t / prod b^(v_b(q^t d) - s)) / prod b^s, whose gcd works on about
-    the reduced sizes; its slots are written as fractions writes them.
+    the reduced sizes; the reduced pair is written by reduced.
     With integral coefficients q = 1, every s is v_b(d), and this is the
     integer path of same_arithmetic."""
     q = lcm(*(c.denominator for c in lams))
@@ -399,7 +399,7 @@ def rational_companion_power(lams, window, e: int) -> tuple[Fraction, ...]:
         g = max(Fraction(_strip(lam.denominator, b)[1], i) for i, lam in enumerate(lams, 1))
         c = min((j * g - _strip(x.denominator, b)[1] for j, x in enumerate(window) if x), default=0)
         bounds.append((b, _strip(q, b)[1], _strip(d, b)[1], g, c))
-    numerators, denominators = [], []
+    out = []
     for t, x in enumerate(mat_vec(companion_power(mus, e), scaled), e):
         over = under = 1
         for b, vq, vd, g, c in bounds:
@@ -412,9 +412,8 @@ def rational_companion_power(lams, window, e: int) -> tuple[Fraction, ...]:
         common = gcd(x, under) if under != 1 else 1
         if common != 1:
             x, under = x // common, under // common
-        numerators.append(x)
-        denominators.append(under)
-    return _written(numerators, denominators, len(numerators))
+        out.append(reduced(x, under))
+    return tuple(out)
 
 
 def iterate(lams, window: list, n: int) -> list:
