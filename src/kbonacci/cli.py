@@ -52,8 +52,8 @@ from .errors import (
 from .exprparse import parse as parse_expr
 from .recurrence import (
     CoefficientVector,
+    _miles_sums,
     extend_seeds,
-    energy_from_miles,
     iterate_sequence,
     matrix_sequence,
 )
@@ -351,7 +351,9 @@ def _library_sequence(coeffs, seeds, n: int, args):
                 "miles requires unit coefficients (all lambda_i = 1, k >= 2) "
                 "and the unit vacuum seed (1, 0, ..., 0)"
             )
-        values = [Fraction(energy_from_miles(coeffs.k, m)) for m in range(n + 1)]
+        # E_m = F_{m+k-1}^(k) = partial(k, m, 0); one memo serves the column
+        partial = _miles_sums()
+        values = [Fraction(partial(coeffs.k, m, 0)) for m in range(n + 1)]
     elif method == "binet":
         roots = spectral.find_roots(
             spectral.char_poly(coeffs), tol=args.tol, max_iter=args.max_iter

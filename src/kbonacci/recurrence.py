@@ -29,11 +29,12 @@ for integral ones), and each result is divided back once, after the part
 of q^n that its denominator provably lacks is divided out (see
 _exact.rational_companion_power). matrix_sequence stays on Fractions for
 non-integral coefficients, an independent route to check iteration
-against. Miles' sum computes each of its partial
-sums once (see miles_number) and never uses the recurrence. The iteration
-and companion loops themselves are _exact.iterate and
-_exact.companion_sequence, which use only exact +, - and *: the command
-line runs them on decimal.Decimal to print integer values in linear time.
+against. Miles' sum computes each of its partial sums once, each term
+from the one before it by a ratio of small ints, with no comb per inner
+term (see miles_number), and never uses the recurrence. The iteration and
+companion loops themselves are _exact.iterate and _exact.companion_sequence,
+which use only exact +, - and *: the command line runs them on
+decimal.Decimal to print integer values in linear time.
 """
 
 from __future__ import annotations
@@ -172,6 +173,48 @@ def matrix_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> 
     return ExactSequence(_exact.fractions(values, d))
 
 
+def _miles_sums():
+    """Return miles_number's memoised partial(weight, remaining, total),
+    with a fresh memo.
+
+    partial is the sum over a_weight, ..., a_1 >= 0 with
+    a_1 + 2 a_2 + ... + weight a_weight = remaining of the product of
+    comb(total + a_weight + ... + a_j, a_j), j = weight..1, so that
+    F_m^(k) = partial(k, m - k + 1, 0). No memo key depends on the target,
+    so one partial serves a whole column of m for one k; the memo lives as
+    long as the function returned.
+    """
+    memo = {}
+
+    def partial(weight: int, remaining: int, total: int) -> int:
+        if weight == 1:
+            return comb(total + remaining, remaining)
+        key = (weight, remaining, total)
+        value = memo.get(key)
+        if value is not None:
+            return value
+        if weight == 2:
+            # term_a = C(t+a, a) C(n-a, K), n = t + r, K = r - 2a; the ratio
+            # and why each // is exact are in miles_number's docstring
+            n = total + remaining
+            term = value = comb(n, remaining)
+            for a in range(remaining // 2):
+                K = remaining - 2 * a
+                term = term * (K * (K - 1)) // ((a + 1) * (n - a))
+                value += term
+        else:
+            # c = C(total + a, a), from C(total + a - 1, a - 1), exactly
+            c = 1
+            value = partial(weight - 1, remaining, total)
+            for a in range(1, remaining // weight + 1):
+                c = c * (total + a) // a
+                value += c * partial(weight - 1, remaining - a * weight, total + a)
+        memo[key] = value
+        return value
+
+    return partial
+
+
 def miles_number(k: int, m: int) -> int:
     """k-generalized Fibonacci number F_m^(k) by the multinomial sum.
 
@@ -182,9 +225,18 @@ def miles_number(k: int, m: int) -> int:
     factorials are formed. The part of the sum below a given choice of
     a_k, ..., a_{j+1} depends only on (j, the weight still to place, the
     count so far); each such partial sum is computed once, kept in a dict
-    local to the call, and multiplied by the factor built above it. This
-    regroups the same multinomial terms: the value never comes from the
-    recurrence, so it stays an independent check of iteration.
+    local to the call, and multiplied by the factor built above it.
+
+    No comb is taken per inner term. At j = 2 the sum over a_2 is
+    hypergeometric: with t the count so far, r the weight left, n = t + r
+    and K = r - 2 a_2, its term is (n - a_2)! / (a_2! t! K!), and the next
+    term is this one times K (K - 1) / ((a_2 + 1) (n - a_2)), starting from
+    comb(n, r). At j >= 3 the factor comb(t + a_j, a_j) is carried along
+    the loop as c * (t + a_j) // a_j. Both products are formed before the
+    division, and its quotient is the next term or binomial, an integer,
+    so each // is exact. This regroups the same multinomial terms: the
+    value never comes from the recurrence, so it stays an independent
+    check of iteration.
 
     Requires k >= 2 and m >= k - 1 (DomainError otherwise).
     """
@@ -193,23 +245,7 @@ def miles_number(k: int, m: int) -> int:
     target = m - k + 1
     if target < 0:
         raise DomainError(f"m must be >= k - 1, got m={m} for k={k}")
-    memo = {}
-
-    def partial(weight: int, remaining: int, total: int) -> int:
-        # sum over a_weight, ..., a_1 with weighted sum `remaining` of the
-        # product of comb(total + a_weight + ... + a_j, a_j), j = weight..1
-        if weight == 1:
-            return comb(total + remaining, remaining)
-        key = (weight, remaining, total)
-        value = memo.get(key)
-        if value is None:
-            value = 0
-            for a in range(remaining // weight + 1):
-                value += comb(total + a, a) * partial(weight - 1, remaining - a * weight, total + a)
-            memo[key] = value
-        return value
-
-    return partial(k, target, 0)
+    return _miles_sums()(k, target, 0)
 
 
 def energy_from_miles(k: int, n: int) -> int:

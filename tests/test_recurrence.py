@@ -1,14 +1,15 @@
 """Recurrence core: seeds, iteration, matrix powers, lattice-path counts.
 
 Frozen values are checked first; the multinomial path count is additionally
-pinned against two independent oracles (a composition DP and a brute-force
-enumeration) before the identity tying it to the recurrence is asserted.
+pinned against three independent oracles (a composition DP, a brute-force
+enumeration and the multinomial terms from factorials) before the identity
+tying it to the recurrence is asserted.
 """
 
 import operator
 from fractions import Fraction as F
 from itertools import product
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from kbonacci import (
     matrix_sequence,
     miles_number,
 )
+from kbonacci.cli import main
 
 
 def fib_setup():
@@ -54,6 +56,23 @@ def compositions_brute(k: int, t: int):
     for first in range(1, min(k, t) + 1):
         for rest in compositions_brute(k, t - first):
             yield (first,) + rest
+
+
+# Third oracle, Miles' sum term by term: every (a_1, ..., a_k) with
+# a_1 + 2 a_2 + ... + k a_k = t, each weighted by its full multinomial.
+def multiplicities(k: int, t: int):
+    if k == 1:
+        yield (t,)
+        return
+    for a_k in range(t // k + 1):
+        for rest in multiplicities(k - 1, t - k * a_k):
+            yield rest + (a_k,)
+
+
+def multinomial_sum(k: int, t: int) -> int:
+    return sum(
+        factorial(sum(a)) // prod(factorial(x) for x in a) for a in multiplicities(k, t)
+    )
 
 
 class TestSequences:
@@ -178,11 +197,27 @@ class TestMiles:
                 expected = sum(1 for _ in compositions_brute(k, t))
                 assert miles_number(k, t + k - 1) == expected, (k, t)
 
+    def test_multinomial_oracle(self):
+        # the same multinomial terms, each from factorials: a wrong ratio in
+        # the weight-2 walk or a wrong carried binomial changes the sum
+        for k in range(2, 7):
+            for t in range(25):
+                assert miles_number(k, t + k - 1) == multinomial_sum(k, t), (k, t)
+
     @pytest.mark.parametrize("k,m", [(2, 600), (3, 200), (4, 122), (5, 102), (6, 100), (7, 100)])
     def test_composition_dp_oracle_large(self, k, m):
-        # the benchmark's sizes and past them, where the memoised partial
-        # sums are reused most
+        # the benchmark's sizes and past them: weight-2 walks of up to 300
+        # ratio steps, and memoised partial sums reused most
         assert miles_number(k, m) == composition_count(k, m - k + 1)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_cli_column_equals_per_call(self, k, capsys):
+        # the command line builds the whole column from one memo; each
+        # miles_number call starts from an empty one
+        coeffs = ",".join(["1"] * k)
+        assert main(["sequence", "--coeffs", coeffs, "-n", "60", "--method", "miles", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.split()[1:]
+        assert rows == [f"{n},{miles_number(k, n + k - 1)}" for n in range(61)]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
