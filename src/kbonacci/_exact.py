@@ -7,24 +7,24 @@ many times faster than Fraction work (no gcd per operation), so callers
 convert their inputs with same_arithmetic, the one place that chooses, and
 their results back with fractions. matrix_char_poly scales its matrix to
 integers the same way. as_fraction is the one coercion of exact inputs.
-Iteration with non-integral coefficients, which same_arithmetic leaves on
-Fractions, runs on ints too (rational_recurrence): each value's denominator
-is a product of the primes of the input denominators, so tracking their
-exponents keeps every value in lowest terms with no gcd. Each window value
-also carries its numerator's residue modulo the product of those primes,
-which tells a step whether a prime divides its sum, so a step that cancels
-nothing divides no long value, and one that does divides its denominator
-once. reduced builds a Fraction from such a pair by writing its two slots,
-with neither a gcd nor Fraction's argument dispatch; fractions and
-rational_recurrence write the slots of a whole column of pairs the same way,
-one slot at a time.
+Both rational kernels split denominators over a coprime base of the input
+denominators (coprime_base: gcds, no factoring). Iteration with
+non-integral coefficients, which same_arithmetic leaves on Fractions, runs
+on ints too (rational_recurrence): tracking each value's exponents over the
+base keeps it in lowest terms with no gcd of long values. Each window value
+also carries its numerator's residue modulo the product of the base, whose
+gcd with that product tells a step whether anything cancels, so a step that
+cancels nothing divides no long value, and one that does divides its
+denominator once. reduced builds a Fraction from such a pair by writing its
+two slots, with neither a gcd nor Fraction's argument dispatch; fractions
+and rational_recurrence write the slots of a whole column of pairs the same
+way, one slot at a time.
 Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
 14(1)), k^2 products per squaring against k^3 for a matrix product. They
 run on ints for any coefficients, for x = y/q, q the lcm of the
 coefficient denominators (rational_companion_power), and each result is
 one Fraction, after the part of q^e that its denominator provably lacks
-is divided out over a coprime base of the denominators (coprime_base),
-which needs no factoring.
+over the coprime base is divided out.
 iterate and companion_sequence, the recurrence's two routes, and mat_vec
 use only exact +, - and *, so they also run unchanged on decimal.Decimal in
 an exact context, as the command line does for integer values. squarefree
@@ -110,42 +110,20 @@ def reduced(numerator: int, denominator: int) -> Fraction:
     return value
 
 
-# Trial division stops at this bound: a cofactor left above its square may
-# be composite, and rational_recurrence needs every prime proven.
-TRIAL_LIMIT = 1 << 16
-
-
-def prime_factors(d: int) -> list[int] | None:
-    """The distinct primes of d >= 1, ascending, by trial division up to
-    sqrt of the cofactor; None when that reaches TRIAL_LIMIT with the
-    cofactor, above TRIAL_LIMIT**2, unproven."""
-    primes = []
-    p = 2
-    while p * p <= d:
-        if p >= TRIAL_LIMIT:
-            return None
-        if d % p == 0:
-            primes.append(p)
-            d = _strip(d, p)[0]
-        p += 1 if p == 2 else 2
-    if d > 1:
-        primes.append(d)
-    return primes
-
-
-def _strip(x: int, p: int) -> tuple[int, int]:
-    """(x / p^v, v) for x != 0, p^v the largest power of p dividing x."""
+def _strip(x: int, b: int) -> tuple[int, int]:
+    """(x / b^v, v) for x != 0, b^v the largest power of b dividing x."""
     v = 0
-    while x % p == 0:
-        x //= p
+    while x % b == 0:
+        x //= b
         v += 1
     return x, v
 
 
 def coprime_base(numbers) -> list[int]:
     """Pairwise coprime integers > 1 of which each of numbers (all >= 1) is
-    a product of powers, by splitting on gcds (factor refinement): no
-    factoring, so it works for denominators prime_factors cannot prove."""
+    a product of powers, by splitting on gcds (factor refinement, Bach,
+    Driscoll and Shallit 1993, J. Algorithms 15): no factoring, so a large
+    denominator with no known factors costs a few gcds."""
     base, pending = [], list(numbers)
     while pending:
         x = pending.pop()
@@ -162,48 +140,60 @@ def coprime_base(numbers) -> list[int]:
     return base
 
 
-def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
+def rational_recurrence(lams, window, n: int) -> list[Fraction]:
     """alpha_0..alpha_n of alpha_{m+1} = sum_i lams[i] alpha_{m-i} as
     reduced Fractions, from the window (alpha_{-(k-1)}, ..., alpha_0); lams
-    and window hold Fractions. None when prime_factors cannot factor the
-    lcm of their denominators: the caller then iterates on Fractions.
+    and window hold Fractions.
 
-    Every denominator is a product of powers of those primes P. A value is
-    held as its numerator and denominator, and, while it is in the window,
-    the exponents e_p of P in its denominator (None for zero) and its
-    numerator's residue mod M = prod P. lams[i] = L_i prod p^u_ip with L_i
-    an integer prime to P. A step takes E_p = max(0, max_i(e_ip - u_ip))
-    over the nonzero terms, so that every term is a multiple of
-    1/prod p^E_p, the sum X = sum_i m_i numerator_i with
-    m_i = L_i prod p^(E_p - e_ip + u_ip), and D = prod p^E_p, then divides X
-    by p while p | X and E_p > 0, and D once by the product q of those
-    divisions. What is left is coprime with D > 0: no prime of D divides X.
-    Whether p divides X is read from R = sum_i (m_i mod M) r_i mod M, r_i
-    the terms' residues, so a step that cancels no prime does no division
-    of a long value; after each division by p the residue is taken again.
-    The loop has only big-by-small products, sums, and exact // and % by
-    small ints, one division of the denominator per step at most, and no
-    gcd. The values are kept in growing lists read by negative index, as
-    in iterate, and become Fractions by writing their slots in bulk.
+    Every denominator is a product of powers of B, a coprime base of the
+    input denominators. A value is held as its numerator and denominator,
+    and, while it is in the window, the exponents e_b of B in its
+    denominator (None for zero) and its numerator's residue mod M = prod B.
+    lams[i] = L_i prod b^u_ib, L_i the numerator's cofactor after every
+    whole power of each b is taken out; L_i may still share a proper factor
+    with some b. A step takes E_b = max(0, max_i(e_ib - u_ib)) over the
+    nonzero terms, so that every term is a multiple of 1/prod b^E_b, the
+    sum X = sum_i m_i numerator_i with m_i = L_i prod b^(E_b - e_ib + u_ib),
+    and D = prod b^E_b. If gcd(R, M) = 1 for R = sum_i (m_i mod M) r_i
+    mod M, r_i the terms' residues, nothing cancels and the step divides no
+    long value. Else it divides X by b while E_b > 0 and gcd(R, b) = b,
+    taking the residue again after each division, and D once by the
+    product q of those divisions. X/D is then reduced, unless
+    1 < gcd(R, b) < b for some b with E_b > 0: that proper factor refines B
+    (coprime_base), and the run starts again from the window. Each
+    refinement splits a divisor of the lcm of the denominators, so there
+    are finitely many. The loop has only big-by-small products, sums,
+    exact // and % by small ints, gcds of small ints, and one division of
+    the denominator per step at most. The values are kept in growing lists
+    read by negative index, as in iterate, and become Fractions by writing
+    their slots in bulk.
 
     Only the differences of the exponents matter to a step, so its small
     factors are computed once per window shape (see shape_of), and the next
-    shape is looked up by how often the step divided by each prime.
+    shape is looked up by how often the step divided by each element of B.
     """
-    primes = prime_factors(lcm(*(x.denominator for x in (*lams, *window))))
-    if primes is None:
-        return None
-    modulus = prod(primes)
+    base = coprime_base([x.denominator for x in (*lams, *window)])
+    while True:
+        values = _recurrence_over(base, lams, window, n)
+        if type(values) is list:
+            return values
+        base = coprime_base([*base, values])
 
-    def split(x):  # (x / prod p^e_p, e) for an integer x != 0
+
+def _recurrence_over(base, lams, window, n: int) -> list[Fraction] | int:
+    """rational_recurrence's run over B = base: its values, or the proper
+    factor of an element of B that a step found."""
+    modulus = prod(base)
+
+    def split(x):  # (x / prod b^e_b, e) for an integer x != 0
         e = []
-        for p in primes:
-            x, v = _strip(x, p)
+        for b in base:
+            x, v = _strip(x, b)
             e.append(v)
         return x, tuple(e)
 
     def power(a):
-        return prod(p**ap for p, ap in zip(primes, a))
+        return prod(b**ab for b, ab in zip(base, a))
 
     terms = []  # (L_i, u_i)
     for lam in lams:
@@ -219,23 +209,23 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
     shapes = {}
 
     def shape_of():
-        """(step data, b) for the window, b the exponents of its newest
+        """(step data, top) for the window, top the exponents of its newest
         nonzero entry; (None, None) when every entry is zero.
 
-        The shape is the exponents relative to b, rel_i = e_i - b, newest
-        first. With dE = max_i(rel_i - u_i), the multipliers are
-        m_i = L_i prod p^(dE - rel_i + u_i) of the nonzero entries. The
+        The shape is the exponents relative to top, rel_i = e_i - top,
+        newest first. With dE = max_i(rel_i - u_i), the multipliers are
+        m_i = L_i prod b^(dE - rel_i + u_i) of the nonzero entries. The
         step data are the newest nonzero entry's index, m_i and m_i mod M,
         the (index, m_i, m_i mod M) of the others, dE, whether dE has a
-        negative component, prod p^dE split as p^+dE / p^-dE (D is that
+        negative component, prod b^dE split as b^+dE / b^-dE (D is that
         times the newest entry's denominator), and the next shapes by
-        division counts. E = b + dE unless a component is negative, where
-        every term is a multiple of p: E_p is then 0.
+        division counts. E = top + dE unless a component is negative, where
+        every term is a multiple of b: E_b is then 0.
         """
-        b = next((e for e in reversed(exponents) if e is not None), None)
-        if b is None:
+        top = next((e for e in reversed(exponents) if e is not None), None)
+        if top is None:
             return None, None
-        key = tuple(None if e is None else tuple(map(sub, e, b)) for e in reversed(exponents))
+        key = tuple(None if e is None else tuple(map(sub, e, top)) for e in reversed(exponents))
         step = shapes.get(key)
         if step is None:
             live = [
@@ -260,10 +250,10 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
                 power(max(-d, 0) for d in dE),
                 {},
             )
-        return step, b
+        return step, top
 
-    step, b = shape_of()
-    no_divisions = (0,) * len(primes)
+    step, top = shape_of()
+    no_divisions = (0,) * len(base)
     for _ in range(n):
         X = 0
         if step:
@@ -278,9 +268,9 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
             denominators.append(1)
             exponents.append(None)
             residues.append(0)
-            step, b = shape_of()
+            step, top = shape_of()
             continue
-        E = tuple(map(add, b, dE))
+        E = tuple(map(add, top, dE))
         clipped = clips and min(E) < 0
         if clipped:
             c = power(max(-x, 0) for x in E)
@@ -292,18 +282,21 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
             D, q = denominators[first] * times, over
         R %= modulus
         counts = no_divisions
-        for p in primes:
-            if not R % p:  # some prime divides X: divide out those of D
-                E, counts = list(E), [0] * len(primes)
-                for j, prime in enumerate(primes):
-                    while E[j] and not R % prime:
-                        X //= prime
-                        R = X % modulus
-                        E[j] -= 1
-                        counts[j] += 1
-                        q *= prime
-                E, counts = tuple(E), tuple(counts)
-                break
+        if gcd(R, modulus) != 1:  # X shares a factor with B: divide out those of D
+            E, counts = list(E), [0] * len(base)
+            for j, factor in enumerate(base):
+                while E[j]:
+                    g = gcd(R, factor)
+                    if g == 1:
+                        break
+                    if g != factor:
+                        return g
+                    X //= factor
+                    R = X % modulus
+                    E[j] -= 1
+                    counts[j] += 1
+                    q *= factor
+            E, counts = tuple(E), tuple(counts)
         if q != 1:
             D //= q
         numerators.append(X)
@@ -311,12 +304,12 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction] | None:
         exponents.append(E)
         residues.append(R)
         if clipped:
-            step, b = shape_of()
+            step, top = shape_of()
         else:
             nxt = follow.get(counts)
             if nxt is None:
                 nxt = follow[counts] = shape_of()[0]
-            step, b = nxt, E
+            step, top = nxt, E
     del numerators[: k - 1], denominators[: k - 1]
     return _written(numerators, denominators, n + 1, list)
 

@@ -19,19 +19,20 @@ times faster than Fraction arithmetic, the seeds scaled by the lcm of their
 denominators (see _exact.same_arithmetic). An iteration step on ints adds
 the terms of coefficient +1, subtracts those of -1 and multiplies only by
 the other coefficients, reading its k terms by index from the growing list
-of values. Iteration with non-integral coefficients runs on ints as well:
-each value is kept in lowest terms from the exponents of the primes of the
-input denominators, with no gcd, and becomes a Fraction by writing its
+of values. Iteration with non-integral coefficients runs on ints as well,
+for any denominators: each value is kept in lowest terms from its
+denominator's exponents over a coprime base of the input denominators,
+found by gcds with no factoring, and becomes a Fraction by writing its
 reduced pair directly (see _exact.rational_recurrence and _exact.reduced).
 Companion powers with any coefficients run on the integers
 mu_i = lambda_i q^i, q the lcm of the coefficients' denominators (q = 1
 for integral ones), and each result is divided back once, after the part
-of q^n that its denominator provably lacks is divided out (see
-_exact.rational_companion_power). matrix_sequence stays on Fractions for
-non-integral coefficients, an independent route to check iteration
-against. Miles' sum computes each of its partial sums once, each term
-from the one before it by a ratio of small ints, with no comb per inner
-term (see miles_number), and never uses the recurrence. The iteration and
+of q^n that its denominator provably lacks over the same coprime base is
+divided out (see _exact.rational_companion_power). matrix_sequence stays on
+Fractions for non-integral coefficients, an independent route to check
+iteration against. Miles' sum computes each of its partial sums once, each
+term from the one before it by a ratio of small ints, with no comb per
+inner term (see miles_number), and never uses the recurrence. The iteration and
 companion loops themselves are _exact.iterate and _exact.companion_sequence,
 which use only exact +, - and *: the command line runs them on
 decimal.Decimal to print integer values in linear time.
@@ -145,11 +146,8 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
     """
     d, lams, window = _inputs(coeffs, seeds, n_max, "n_max")
     if any(c.denominator != 1 for c in coeffs.values):
-        values = _exact.rational_recurrence(lams, window, n_max)
-        if values is not None:
-            return ExactSequence(tuple(values))
-    values = _exact.iterate(lams, window, n_max)
-    return ExactSequence(_exact.fractions(values, d))
+        return ExactSequence(tuple(_exact.rational_recurrence(lams, window, n_max)))
+    return ExactSequence(_exact.fractions(_exact.iterate(lams, window, n_max), d))
 
 
 def matrix_power_sequence(coeffs: CoefficientVector, seeds: SeedState, n: int) -> tuple[Fraction, ...]:
@@ -182,11 +180,15 @@ def _miles_sums():
     comb(total + a_weight + ... + a_j, a_j), j = weight..1, so that
     F_m^(k) = partial(k, m - k + 1, 0). No memo key depends on the target,
     so one partial serves a whole column of m for one k; the memo lives as
-    long as the function returned.
+    long as the function returned. a_j = 0 for every j > remaining, so a
+    weight above remaining is lowered to it, and the recursion is at most
+    min(weight, remaining) deep.
     """
     memo = {}
 
     def partial(weight: int, remaining: int, total: int) -> int:
+        if weight > remaining:
+            weight = remaining or 1
         if weight == 1:
             return comb(total + remaining, remaining)
         key = (weight, remaining, total)

@@ -62,7 +62,9 @@ def fraction_loop(lams, window, n):
 
 
 def check_recurrence(exact, rng, cases=200):
-    pool = [1, 2, 3, 4, 6, 9, 10, 14, 35, 65537]
+    # composite denominators make bases that a step refines; the last two
+    # have no factor below 2^16
+    pool = [1, 2, 3, 4, 6, 9, 10, 14, 35, 65537, 65537**2, ((1 << 61) - 1) * ((1 << 31) - 1)]
     for _ in range(cases):
         k = rng.randint(1, 6)
         lams = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5, 7]), rng.choice(pool)) for _ in range(k)]

@@ -219,6 +219,17 @@ class TestMiles:
         rows = capsys.readouterr().out.split()[1:]
         assert rows == [f"{n},{miles_number(k, n + k - 1)}" for n in range(61)]
 
+    def test_order_past_the_recursion_limit(self, capsys):
+        # a weight above the weight left is lowered to it, so the partial
+        # sums recurse min(k, n) deep, not k deep
+        k = 1100
+        c = CoefficientVector((F(1),) * k)
+        s = extend_seeds(c, F(1), (F(0),) * (k - 1))
+        assert miles_number(k, k + 2) == iterate_sequence(c, s, 3).values[3]
+        coeffs = ",".join(["1"] * k)
+        assert main(["sequence", "--coeffs", coeffs, "-n", "3", "--method", "miles", "--check"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "max discrepancy vs direct: 0"
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             miles_number(1, 3)
@@ -253,10 +264,11 @@ def problem(draw, max_k=6, seed_pool=rationals, min_k=2, coeff_pool=nonzero):
 
 class TestProperties:
     # Integral coefficient vectors take the integer path (rational seeds
-    # scaled to ints). Rational ones iterate in the prime-exponent kernel
-    # (_exact.rational_recurrence) and take companion powers on ints scaled
-    # by x = y/q (_exact.rational_companion_power), while matrix_sequence
-    # stays on Fractions; both pools hold negative entries.
+    # scaled to ints). Rational ones iterate in the kernel that tracks
+    # denominators over a coprime base (_exact.rational_recurrence) and take
+    # companion powers on ints scaled by x = y/q
+    # (_exact.rational_companion_power), while matrix_sequence stays on
+    # Fractions; both pools hold negative entries.
     @settings(deadline=None)
     @given(
         st.one_of(
@@ -349,12 +361,15 @@ def assert_reduced_and_equal(values, expected):
 
 
 # Numerators and denominators share the primes 2, 3, 5 and 7, so that one
-# entry's numerator can cancel another's denominator (3/2 against 2/3);
-# 65537 and 1000003 are primes above 2^16.
+# entry's numerator can cancel another's denominator (3/2 against 2/3), and
+# composite denominators (4, 6, 9, 10, 14, 35) can make a coprime base that
+# a step refines; 65537 and 1000003 are primes above 2^16, and 65537^2 and
+# (2^61 - 1)(2^31 - 1) have no factor below 2^16.
+BIG = ((1 << 61) - 1) * ((1 << 31) - 1)
 kernel_rationals = st.builds(
     F,
     st.integers(min_value=-12, max_value=12),
-    st.sampled_from([1, 2, 3, 4, 6, 9, 10, 14, 35, 65537, 1000003]),
+    st.sampled_from([1, 2, 3, 4, 6, 9, 10, 14, 35, 65537, 1000003, 65537**2, BIG]),
 )
 
 
@@ -399,8 +414,9 @@ class TestIntegerKernel:
 
 
 class TestRationalKernel:
-    """Non-integral coefficients: integers with per-prime denominator
-    exponents, each value built reduced without a gcd."""
+    """Non-integral coefficients: integers with denominator exponents over
+    a coprime base of the input denominators, refined when a step finds a
+    proper factor of an element, each value built reduced."""
 
     @settings(deadline=None)
     @given(rational_problem(), st.integers(min_value=0, max_value=120))
@@ -432,7 +448,6 @@ class TestRationalKernel:
     )
     def test_explicit_cases(self, lams, seeds, n):
         coeffs, state = problem_of(lams, seeds)
-        assert _exact.rational_recurrence(coeffs.values, state.extended, n) is not None
         assert_reduced_and_equal(
             iterate_sequence(coeffs, state, n).values, fraction_oracle(coeffs, state, n)
         )
@@ -455,28 +470,25 @@ class TestRationalKernel:
         coeffs, state = problem_of(("1/2", "-1/3", "5/6"), (0, 0, 0))
         assert_reduced_and_equal(iterate_sequence(coeffs, state, 20).values, (F(0),) * 21)
 
-    def test_unproven_denominator_takes_fraction_loop(self):
-        # (2^61 - 1)(2^31 - 1): trial division to 2^16 leaves the product unproven.
-        big = ((1 << 61) - 1) * ((1 << 31) - 1)
-        coeffs, state = problem_of(("1/2", F(1, big)), (1, "1/3"))
-        assert _exact.rational_recurrence(coeffs.values, state.extended, 40) is None
-        assert_reduced_and_equal(
-            iterate_sequence(coeffs, state, 40).values, fraction_oracle(coeffs, state, 40)
-        )
-
     @pytest.mark.parametrize(
-        "d,primes",
+        "lams,seeds",
         [
-            (1, []),
-            (12, [2, 3]),
-            (3 * 65537, [3, 65537]),
-            (4294967291, [4294967291]),  # the largest prime below 2^32
-            (65537**2, None),  # above 2^32, no factor below 2^16
-            (((1 << 61) - 1) * ((1 << 31) - 1), None),
+            # no factor below 2^16: each stays one unfactored base element
+            (("1/2", F(1, 65537**2)), (1, "1/3")),
+            (("1/2", F(1, BIG)), (1, "1/3")),
+            # base {4, 9}, window (3, 1): lambda_1's numerator 3 leaves a
+            # value with a 3 that 9 does not divide, so the base is refined
+            # to {3, 4}, and a later 2 that 4 does not divide refines it to
+            # {2, 3}
+            (("3/4", "1/36"), (1, "1/12")),
         ],
     )
-    def test_prime_factors(self, d, primes):
-        assert _exact.prime_factors(d) == primes
+    def test_kernel_equals_fraction_oracle(self, lams, seeds):
+        coeffs, state = problem_of(lams, seeds)
+        assert_reduced_and_equal(
+            _exact.rational_recurrence(coeffs.values, state.extended, 60),
+            list(fraction_oracle(coeffs, state, 60)),
+        )
 
     @pytest.mark.parametrize(
         "numbers,base",
@@ -488,7 +500,7 @@ class TestRationalKernel:
             ([4, 2], [2]),
             ([16, 4], [4]),
             ([10, 14, 35], [2, 5, 7]),
-            ([((1 << 61) - 1) * ((1 << 31) - 1), 2], [2, ((1 << 61) - 1) * ((1 << 31) - 1)]),
+            ([BIG, 2], [2, BIG]),
         ],
     )
     def test_coprime_base(self, numbers, base):
@@ -526,8 +538,8 @@ class TestRationalCompanion:
             (("3/2",), ("1/3",), 300),  # k = 1
             (("1/2", "1/3", "1/6"), (1, 1, "1/3"), 0),
             (("1/2", "-1/3", "5/6"), (0, 0, 0), 50),
-            # (2^61 - 1)(2^31 - 1): iteration falls back to Fractions
-            (("1/2", F(1, ((1 << 61) - 1) * ((1 << 31) - 1))), (1, "1/3"), 40),
+            # (2^61 - 1)(2^31 - 1), which has no factor below 2^16
+            (("1/2", F(1, BIG)), (1, "1/3"), 40),
             # q^t holds 65537^t, alpha_t needs 65537^(t/2): the excess is
             # divided out before the gcd
             (("-1/2", "1/65537"), (1, "1/3"), 1001),
@@ -538,7 +550,7 @@ class TestRationalCompanion:
             (("1", "1/6"), ("1/6", "1/216"), 60),
             # the unproven denominator again, in lambda_2 only: its excess
             # is divided out without factoring it
-            (("1", F(1, ((1 << 61) - 1) * ((1 << 31) - 1))), (1, "1/3"), 30),
+            (("1", F(1, BIG)), (1, "1/3"), 30),
         ],
     )
     def test_equals_iterate_and_oracle(self, lams, seeds, n):
