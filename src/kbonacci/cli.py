@@ -11,9 +11,10 @@ Output costs time linear in its size. When every value is an integer
 (sequence --method direct or matrix with integral coefficients and seed
 window, subst grow --format csv), the library's integer kernels run
 unchanged on decimal.Decimal in an exact context, as str(Decimal) is linear
-in the digits and str(int) quadratic. Table and csv rows are written as
-they are formatted, never joined into one string. The parser is built once
-per process.
+in the digits and str(int) quadratic. Every sequence method, and the direct
+column of its --check, comes from one function, _values. Table and csv rows
+are written as they are formatted, never joined into one string. The parser
+is built once per process.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from decimal import (
 )
 from fractions import Fraction
 from itertools import chain
+from math import inf, isfinite
 from typing import NamedTuple
 
 from . import _exact, algebra, spectral, substitution
@@ -313,37 +315,21 @@ def _cmd_spectrum(args) -> _Report:
     )
 
 
-def _decimal_inputs(coeffs: CoefficientVector, seeds):
-    """The coefficients and the seed window as Decimals when all are
-    integers, so that every value is; else None."""
-    if any(x.denominator != 1 for x in (*coeffs.values, *seeds.extended)):
-        return None
-    return (
-        [Decimal(x.numerator) for x in coeffs.values],
-        [Decimal(x.numerator) for x in seeds.extended],
-    )
-
-
-def _decimal_sequence(lams, window, n: int, method: str, check: bool):
-    """Values and --check discrepancy of the direct or matrix method by the
-    library's integer kernels, run unchanged on Decimals in _EXACT."""
-    with localcontext(_EXACT):
-        direct = _exact.iterate(lams, list(window), n) if method == "direct" or check else None
-        values = direct if method == "direct" else _exact.companion_sequence(lams, list(window), n)
-        discrepancy = max(abs(v - d) for v, d in zip(values, direct)) if check else None
-    return values, discrepancy
-
-
-def _library_sequence(coeffs, seeds, n: int, args):
-    """Values and --check discrepancy of any method, as the library gives them."""
-    method = args.method
-    if method == "direct" or args.check:
-        direct = iterate_sequence(coeffs, seeds, n).values
+def _values(method: str, coeffs: CoefficientVector, seeds, n: int, args) -> list:
+    """alpha_0..alpha_n by method, run in _EXACT: the library's integer
+    kernels on Decimals for direct and matrix when every coefficient and
+    seed window value is an integer, else the library's Fraction routes.
+    Miles' sums are Decimals too, so that --check subtracts like types."""
+    inputs = (*coeffs.values, *seeds.extended)
+    if method in ("direct", "matrix") and all(x.denominator == 1 for x in inputs):
+        ints = [Decimal(x.numerator) for x in inputs]
+        kernel = _exact.iterate if method == "direct" else _exact.companion_sequence
+        return kernel(ints[: coeffs.k], ints[coeffs.k :], n)
     if method == "direct":
-        values = list(direct)
-    elif method == "matrix":
-        values = list(matrix_sequence(coeffs, seeds, n).values)
-    elif method == "miles":
+        return list(iterate_sequence(coeffs, seeds, n).values)
+    if method == "matrix":
+        return list(matrix_sequence(coeffs, seeds, n).values)
+    if method == "miles":
         unit = all(v == 1 for v in coeffs.values)
         unit_seed = seeds.alpha0 == 1 and all(h == 0 for h in seeds.higher)
         if coeffs.k < 2 or not unit or not unit_seed:
@@ -351,30 +337,12 @@ def _library_sequence(coeffs, seeds, n: int, args):
                 "miles requires unit coefficients (all lambda_i = 1, k >= 2) "
                 "and the unit vacuum seed (1, 0, ..., 0)"
             )
-        # E_m = F_{m+k-1}^(k) = partial(k, m, 0); one memo serves the column
-        partial = _miles_sums()
-        values = [Fraction(partial(coeffs.k, m, 0)) for m in range(n + 1)]
-    elif method == "binet":
-        roots = spectral.find_roots(
-            spectral.char_poly(coeffs), tol=args.tol, max_iter=args.max_iter
-        )
-        modes = spectral.binet_form(coeffs, seeds, roots)
-        values = [spectral.binet_eval(modes, roots, m) for m in range(n + 1)]
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown method {method!r}")
-
-    check = None
-    if args.check and method == "binet":
-        check = 0.0
-        for m, (b, d) in enumerate(zip(values, direct)):
-            try:
-                ref = float(d)
-            except OverflowError:
-                raise FloatRangeError("direct value", m) from None
-            check = max(check, abs(b - ref) / max(1.0, abs(ref)))
-    elif args.check:
-        check = max((abs(v - d) for v, d in zip(values, direct)), default=Fraction(0))
-    return values, check
+        # E_m = F_{m+k-1}^(k); one memo serves the column
+        miles = _miles_sums()
+        return [Decimal(miles(coeffs.k, m)) for m in range(n + 1)]
+    roots = spectral.find_roots(spectral.char_poly(coeffs), tol=args.tol, max_iter=args.max_iter)
+    modes = spectral.binet_form(coeffs, seeds, roots)
+    return [spectral.binet_eval(modes, roots, m) for m in range(n + 1)]
 
 
 def _cmd_sequence(args) -> _Report:
@@ -383,11 +351,24 @@ def _cmd_sequence(args) -> _Report:
     n = args.n
     if n < 0:
         raise InputError("-n must be >= 0")
-    decimals = _decimal_inputs(coeffs, seeds) if args.method in ("direct", "matrix") else None
-    if decimals is not None:
-        values, check = _decimal_sequence(*decimals, n, args.method, args.check)
-    else:
-        values, check = _library_sequence(coeffs, seeds, n, args)
+    check = None
+    with localcontext(_EXACT):
+        values = _values(args.method, coeffs, seeds, n, args)
+        if args.check:
+            direct = values if args.method == "direct" else _values("direct", coeffs, seeds, n, args)
+            if args.method == "binet":
+                # relative to max(1, |direct|), the binet values being floats
+                check = 0.0
+                for m, (b, d) in enumerate(zip(values, direct)):
+                    try:
+                        ref = float(d)  # a Decimal beyond the float range gives ±inf
+                    except OverflowError:  # where a Fraction raises
+                        ref = inf
+                    if not isfinite(ref):
+                        raise FloatRangeError("direct value", m)
+                    check = max(check, abs(b - ref) / max(1.0, abs(ref)))
+            else:
+                check = max(abs(v - d) for v, d in zip(values, direct))
 
     return _Report(
         payload=lambda: {

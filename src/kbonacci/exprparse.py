@@ -14,7 +14,10 @@ the exact rational. All literals are exact rationals, so evaluation at a
 Fraction argument is exact; evaluation at a float argument is float.
 evaluate walks the tree on every call and serves both; float_evaluator
 compiles a tree once into closures for repeated float evaluation, with
-the same results and errors.
+the same results and errors. parse refuses a tree with more than 100
+operators on a path from its root, or text with more than 100
+parentheses and signs open at once (ExpressionSyntaxError), so that every
+walker here recurses well inside the default recursion limit.
 """
 
 from __future__ import annotations
@@ -143,11 +146,23 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# The most operators on any path from the root of a parsed tree to a leaf,
+# and the most parentheses and signs open at any point of its text. Every
+# tree walker recurses once per level (unparse twice) and the parser up to
+# four times per open parenthesis, so all stay well inside the default
+# recursion limit of 1000.
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each method returns (node, height), the height
+    being the most operators on a path from the node to a leaf."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # parentheses and signs open at pos
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -162,64 +177,79 @@ class _Parser:
         got = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ExpressionSyntaxError(f"unexpected {got}", tok.offset, expected)
 
+    def deeper(self, tok: _Token, height: int) -> int:
+        """height + 1, the level that tok's operator or parenthesis opens,
+        refused past _MAX_DEPTH."""
+        if height >= _MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nested deeper than {_MAX_DEPTH} levels", tok.offset, ()
+            )
+        return height + 1
+
     def parse(self) -> ExprNode:
-        node = self.expr()
+        node, _ = self.expr()
         if self.peek().kind != "end":
             self.fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
         return node
 
-    def expr(self) -> ExprNode:
-        node = self.term()
+    def expr(self) -> tuple[ExprNode, int]:
+        node, height = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            tok = self.advance()
+            rhs, rhs_height = self.term()
+            node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
+            height = self.deeper(tok, max(height, rhs_height))
+        return node, height
 
-    def term(self) -> ExprNode:
-        node = self.factor()
+    def term(self) -> tuple[ExprNode, int]:
+        node, height = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.factor()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            tok = self.advance()
+            rhs, rhs_height = self.factor()
+            node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
+            height = self.deeper(tok, max(height, rhs_height))
+        return node, height
 
-    def factor(self) -> ExprNode:
-        node = self.atom()
+    def factor(self) -> tuple[ExprNode, int]:
+        node, height = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+            height = self.deeper(self.advance(), height)
             tok = self.peek()
             # Exponents are bare unsigned integer literals.
             if tok.kind != "number" or tok.value is None or tok.value.denominator != 1:
                 self.fail(("unsigned integer",))
             self.advance()
             node = Pow(node, tok.value.numerator)
-        return node
+        return node, height
 
-    def atom(self) -> ExprNode:
+    def atom(self) -> tuple[ExprNode, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(tok.value)
+            return Const(tok.value), 0
         if tok.kind == "x":
             self.advance()
-            return Var()
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
+            return Var(), 0
+        if tok.kind != "op" or tok.text not in "(-":
+            self.fail(("number", "'x'", "'('", "'-'"))
+        # Refused before the descent, as each level takes parser frames.
+        self.open = self.deeper(self.advance(), self.open)
+        if tok.text == "(":
+            node, height = self.expr()
             closing = self.peek()
             if closing.kind != "op" or closing.text != ")":
                 self.fail(("')'",))
             self.advance()
-            return node
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.atom())
-        self.fail(("number", "'x'", "'('", "'-'"))
+        else:
+            node, height = self.atom()
+            node, height = Neg(node), self.deeper(tok, height)
+        self.open -= 1
+        return node, height
 
 
 def parse(text: str) -> ExprNode:
-    """Parse expression text into an AST; ExpressionSyntaxError on failure."""
+    """Parse expression text into an AST; ExpressionSyntaxError on failure,
+    a tree nested deeper than _MAX_DEPTH levels included."""
     return _Parser(text).parse()
 
 

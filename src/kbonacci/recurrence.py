@@ -40,12 +40,13 @@ decimal.Decimal to print integer values in linear time.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from . import _exact
-from .errors import DomainError, OrderMismatchError
+from .errors import ComputationError, DomainError, OrderMismatchError
 
 __all__ = [
     "CoefficientVector",
@@ -172,17 +173,18 @@ def matrix_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> 
 
 
 def _miles_sums():
-    """Return miles_number's memoised partial(weight, remaining, total),
-    with a fresh memo.
+    """Return miles(k, t) = F_{t+k-1}^(k) by Miles' sum, with a fresh memo
+    of partial sums.
 
-    partial is the sum over a_weight, ..., a_1 >= 0 with
-    a_1 + 2 a_2 + ... + weight a_weight = remaining of the product of
+    partial(weight, remaining, total) is the sum over a_weight, ..., a_1 >= 0
+    with a_1 + 2 a_2 + ... + weight a_weight = remaining of the product of
     comb(total + a_weight + ... + a_j, a_j), j = weight..1, so that
-    F_m^(k) = partial(k, m - k + 1, 0). No memo key depends on the target,
-    so one partial serves a whole column of m for one k; the memo lives as
-    long as the function returned. a_j = 0 for every j > remaining, so a
-    weight above remaining is lowered to it, and the recursion is at most
-    min(weight, remaining) deep.
+    miles(k, t) = partial(k, t, 0). No memo key depends on the target, so
+    one miles serves a whole column of t for one k; the memo lives as long
+    as the function returned. a_j = 0 for every j > remaining, so a weight
+    above remaining is lowered to it, and the recursion is at most
+    min(k, t) deep. Where that passes the interpreter's recursion limit,
+    miles raises ComputationError; the memo keeps only finished sums.
     """
     memo = {}
 
@@ -214,7 +216,16 @@ def _miles_sums():
         memo[key] = value
         return value
 
-    return partial
+    def miles(k: int, t: int) -> int:
+        try:
+            return partial(k, t, 0)
+        except RecursionError:
+            raise ComputationError(
+                f"Miles' sum for F_{t + k - 1}^({k}) recurses past the interpreter's "
+                f"recursion limit ({sys.getrecursionlimit()})"
+            ) from None
+
+    return miles
 
 
 def miles_number(k: int, m: int) -> int:
@@ -240,14 +251,16 @@ def miles_number(k: int, m: int) -> int:
     value never comes from the recurrence, so it stays an independent
     check of iteration.
 
-    Requires k >= 2 and m >= k - 1 (DomainError otherwise).
+    Requires k >= 2 and m >= k - 1 (DomainError otherwise). The partial
+    sums recurse min(k, m - k + 1) deep; past the interpreter's recursion
+    limit this raises ComputationError.
     """
     if k < 2:
         raise DomainError("miles_number requires order k >= 2")
     target = m - k + 1
     if target < 0:
         raise DomainError(f"m must be >= k - 1, got m={m} for k={k}")
-    return _miles_sums()(k, target, 0)
+    return _miles_sums()(k, target)
 
 
 def energy_from_miles(k: int, n: int) -> int:

@@ -189,6 +189,36 @@ class TestSpecFileErrors:
         assert main(["spectrum", write_spec(tmp_path, data)]) == 1
         assert "functions[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("(" * 300 + "x" + ")" * 300, 100),
+            ("-" * 2000 + "x", 100),
+            ("+".join(["x"] * 3000), 201),
+        ],
+        ids=["parentheses", "signs", "sum"],
+    )
+    def test_deep_expression_exits_1(self, tmp_path, capsys, text, offset):
+        data = {"k": 2, "functions": ["x", text], "vacuum": ["1", "0"], "n_max": 2}
+        assert main(["spectrum", write_spec(tmp_path, data)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: functions[1]: expression nested deeper than 100 levels at offset {offset}"
+        ]
+
+    def test_expressions_at_the_depth_bound_run_in_float64(self, tmp_path, capsys):
+        # The same values as the shallow forms: every level value is a small
+        # integer, so the 100 float additions are exact.
+        deep = ["+".join(["x"] * 101), "-" * 100 + "x", "(" * 100 + "x" + ")" * 100]
+        outputs = []
+        for functions in (deep, ["101*x", "x", "x"]):
+            data = {"k": 3, "functions": functions, "vacuum": ["1", "0", "0"],
+                    "n_max": 6, "arithmetic": "float64"}
+            assert main(["spectrum", write_spec(tmp_path, data), "--format", "csv"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
     def test_unknown_field(self, tmp_path, capsys):
         data = dict(SPEC_212, extra=1)
         assert main(["spectrum", write_spec(tmp_path, data)]) == 1
@@ -348,6 +378,18 @@ class TestSequenceCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: direct value at n=1476 is beyond the float64 range"
+        ]
+
+    def test_check_rational_reference_overflow_exits_3(self, monkeypatch, capsys):
+        # The exact reference is a Fraction here, whose float() raises where
+        # a Decimal's gives inf: the same error either way.
+        monkeypatch.setattr(cli.spectral, "binet_eval", lambda modes, roots, m: 0.0)
+        argv = ["sequence", "--coeffs", "1/2,3", "-n", "1100", "--method", "binet", "--check"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: direct value at n=1025 is beyond the float64 range"
         ]
 
     def test_miles_guard(self, capsys):

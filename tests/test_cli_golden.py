@@ -89,6 +89,7 @@ def _cases():
         ("1,1", None), ("1,1,1", None), ("-1,1,-1", "2,1,-3"), ("-2,1", "0,0"),
         ("3,-2", "1,-5"), ("5", "0"), ("-1", None), ("1,-1,2,1", "0,0,0,0"),
         ("2,-1,1/2", "1,1/3,2"), ("1/2,1/3,1/6", "1,1,1/3"), ("2,3", "1,1"),
+        ("1,1", "1/2,0"), ("2,3", "1,1/3"),  # integral coefficients, rational window
     ]
     for coeffs, seeds in problems:
         base = ["sequence", "--coeffs", coeffs, "-n", "40"]
@@ -102,6 +103,11 @@ def _cases():
         add(*base)
         add(*base, "--check")
     add("sequence", "--coeffs", "2", "-n", "5", "--method", "binet")
+    for coeffs, seeds in (("1,1,1", None), ("3/2,-1/2", None), ("1/2,1/3,1/6", "1,1,1/3")):
+        base = ["sequence", "--coeffs", coeffs, "-n", "40"]
+        if seeds is not None:
+            base += ["--seeds", seeds]
+        add(*base, "--method", "binet", "--check")
     add("sequence", "--coeffs", "1,1", "-n", "1500", "--method", "binet", formats=("table",))
     add("sequence", "--coeffs", "1,1", "-n", "1500", "--method", "binet", "--check",
         formats=("json",))

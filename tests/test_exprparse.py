@@ -6,6 +6,7 @@ the identity on them. The compiled float evaluator is checked against
 float(evaluate(...)) on the same trees, errors included.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -120,6 +121,63 @@ class TestParse:
             parse("x^2^3")
         with pytest.raises(ExpressionSyntaxError):
             parse("x^1.5")
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+# 100 operators on a path from the root, or 100 parentheses and signs open
+AT_THE_BOUND = {
+    "parentheses": "(" * 100 + "x" + ")" * 100,
+    "signs": "-" * 100 + "x",
+    "sum": "+".join(["x"] * 101),
+    "product": "*".join(["x"] * 101),
+    "quotients": "1/(" * 50 + "x" + ")" * 50,
+    "signed-parentheses": "(-" * 50 + "x" + ")" * 50,
+    "powers": "(" * 99 + "x" + "^1)" * 99 + "^1",
+}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            ("(" * 300 + "x" + ")" * 300, 100),
+            ("-" * 2000 + "x", 100),
+            ("+".join(["x"] * 3000), 201),
+            ("(" * 101 + "x" + ")" * 101, 100),
+            ("-" * 101 + "x", 100),
+            ("+".join(["x"] * 102), 201),
+            ("(" * 100 + "x" + "^1)" * 100 + "^1", 401),
+            ("(-" * 51 + "x" + ")" * 51, 100),
+        ],
+        ids=["parentheses-300", "signs-2000", "sum-3000", "parentheses", "signs", "sum",
+             "powers", "signed-parentheses"],
+    )
+    def test_deeper_text_refused(self, text, offset):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"expression nested deeper than 100 levels at offset {offset}"
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("text", AT_THE_BOUND.values(), ids=AT_THE_BOUND)
+    def test_every_walker_runs_at_the_bound(self, text):
+        # with less than half the default recursion limit left above this frame
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(_stack_depth() + 450)
+        try:
+            tree = parse(text)
+            assert parse(unparse(tree)) == tree
+            exact = evaluate(tree, F(1, 2))
+            assert float_evaluator(tree)(0.5) == float(evaluate(tree, 0.5)) == float(exact)
+            form = as_affine(tree)
+            assert form is None or form[0] * F(1, 2) + form[1] == exact
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestAffine:

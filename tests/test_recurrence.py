@@ -7,6 +7,10 @@ tying it to the recurrence is asserted.
 """
 
 import operator
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from itertools import product
 from math import factorial, gcd, prod
@@ -14,6 +18,7 @@ from math import factorial, gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kbonacci
 from kbonacci import _exact
 from kbonacci import (
     CoefficientVector,
@@ -229,6 +234,33 @@ class TestMiles:
         coeffs = ",".join(["1"] * k)
         assert main(["sequence", "--coeffs", coeffs, "-n", "3", "--method", "miles", "--check"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "max discrepancy vs direct: 0"
+
+    def test_past_the_recursion_limit_is_a_computation_error(self):
+        # min(k, t) = 100 frames past a lowered limit, in a subprocess where
+        # the limit cannot reach other tests; the memo keeps only finished
+        # sums, so the same function is right once the limit is raised
+        code = textwrap.dedent("""\
+            import sys
+            from kbonacci.cli import main
+            from kbonacci.errors import ComputationError
+            from kbonacci.recurrence import _miles_sums, miles_number
+            sys.setrecursionlimit(60)
+            miles = _miles_sums()
+            for call in (lambda: miles_number(100, 199), lambda: miles(100, 100)):
+                try:
+                    call()
+                except ComputationError as exc:
+                    print(exc)
+            rc = main(["sequence", "--coeffs", ",".join(["1"] * 100), "-n", "100", "--method", "miles"])
+            sys.setrecursionlimit(1000)
+            print(rc, miles(100, 100) == miles_number(100, 199))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kbonacci.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        message = "Miles' sum for F_199^(100) recurses past the interpreter's recursion limit (60)"
+        assert proc.stdout.splitlines() == [message, message, "3 True"]
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: Miles' sum for F_")
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
