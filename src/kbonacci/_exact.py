@@ -10,21 +10,15 @@ integers the same way. as_fraction is the one coercion of exact inputs.
 Both rational kernels split denominators over a coprime base of the input
 denominators (coprime_base: gcds, no factoring). Iteration with
 non-integral coefficients, which same_arithmetic leaves on Fractions, runs
-on ints too (rational_recurrence): tracking each value's exponents over the
-base keeps it in lowest terms with no gcd of long values. Each window value
-also carries its numerator's residue modulo the product of the base, whose
-gcd with that product tells a step whether anything cancels, so a step that
-cancels nothing divides no long value, and one that does divides its
-denominator once. reduced builds a Fraction from such a pair by writing its
-two slots, with neither a gcd nor Fraction's argument dispatch; fractions
-and rational_recurrence write the slots of a whole column of pairs the same
-way, one slot at a time.
-Companion powers are polynomial powers (Fiduccia 1985, SIAM J. Comput.
-14(1)), k^2 products per squaring against k^3 for a matrix product. They
-run on ints for any coefficients, for x = y/q, q the lcm of the
-coefficient denominators (rational_companion_power), and each result is
-one Fraction, after the part of q^e that its denominator provably lacks
-over the coprime base is divided out.
+on ints too (rational_recurrence): each value's exponents over the base
+and its numerator's residue modulo their product keep it in lowest terms
+with no gcd of long values. Companion powers are polynomial powers
+(Fiduccia 1985, SIAM J. Comput. 14(1)), k^2 products per squaring against
+k^3 for a matrix product; they run on ints for any coefficients, for
+x = y/q, q the lcm of the coefficient denominators
+(rational_companion_power), and each result is divided back once. Every
+such reduced pair becomes a Fraction in _written, the one writer of
+Fraction slots here, with neither a gcd nor Fraction's argument dispatch.
 iterate and companion_sequence, the recurrence's two routes, and mat_vec
 use only exact +, - and *, so they also run unchanged on decimal.Decimal in
 an exact context, as the command line does for integer values. squarefree
@@ -34,6 +28,7 @@ float root iteration only ever runs on simple roots.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import repeat
@@ -41,13 +36,23 @@ from math import ceil, gcd, lcm, prod
 from operator import add, floordiv, sub
 
 
+# The largest |e| of a literal such as "1e400": Fraction builds 10^|e|
+# first, a power with 10^12 digits for "1e1000000000000".
+MAX_LITERAL_EXPONENT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def as_fraction(value) -> Fraction:
     """An exact input as a Fraction; ints and strings like "1/2" are
-    accepted. Floats are refused (TypeError): they are not exact."""
+    accepted. Floats are refused (TypeError): they are not exact, and so
+    is a string whose exponent e has |e| > MAX_LITERAL_EXPONENT (ValueError)."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise TypeError("exact coefficients must be int, str, or Fraction, not float")
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent and int(exponent[1]) > MAX_LITERAL_EXPONENT:
+        raise ValueError(f"exponent outside [-{MAX_LITERAL_EXPONENT}, {MAX_LITERAL_EXPONENT}]")
     return Fraction(value)
 
 
@@ -69,45 +74,30 @@ _set_denominator = Fraction._denominator.__set__
 
 
 def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
-    """Results of either arithmetic, divided by d, as a tuple of Fractions,
-    without copying the ones that already are. When every value is an int,
-    each is divided by its gcd with d and the reduced pairs are written into
-    new Fractions' slots, as reduced does, one slot at a time for the whole
-    tuple."""
-    if not isinstance(values, (list, tuple)):
-        values = list(values)
-    if not {int}.issuperset(map(type, values)):
-        if d != 1:
-            return tuple(Fraction(x, d) for x in values)
-        return tuple(x if type(x) is Fraction else reduced(x, 1) for x in values)
+    """A column of results, divided by d, as a tuple of Fractions. The
+    column is one of same_arithmetic's two kinds: all Fractions with d = 1,
+    returned as they are, or all ints with any d, each divided by its gcd
+    with d and written by _written."""
+    if values and type(values[0]) is Fraction:
+        return tuple(values)
     if d == 1:
         return _written(values, repeat(1), len(values))
     g = list(map(gcd, values, repeat(d)))
     return _written(map(floordiv, values, g), map(floordiv, repeat(d), g), len(values))
 
 
-def _written(numerators, denominators, size: int, container=tuple):
-    """A container of size new Fractions from reduced pairs with positive
-    denominators, written one slot at a time for the whole container, as
-    reduced writes one."""
-    out = container(map(_new, repeat(Fraction, size)))
+def _written(numerators, denominators, size: int) -> tuple[Fraction, ...]:
+    """The size Fractions numerators[i]/denominators[i] as a tuple, built
+    without Fraction's gcd and type dispatch: the slots are written
+    directly, one slot at a time for the whole tuple, as CPython's own
+    Fraction._from_coprime_ints (3.12+) does for one. The slot names are
+    those of CPython 3.10-3.13. A pair that is not in lowest terms with a
+    positive denominator gives a Fraction that compares and hashes wrongly,
+    so callers must guarantee both conditions."""
+    out = tuple(map(_new, repeat(Fraction, size)))
     deque(map(_set_numerator, out, numerators), 0)
     deque(map(_set_denominator, out, denominators), 0)
     return out
-
-
-def reduced(numerator: int, denominator: int) -> Fraction:
-    """The Fraction numerator/denominator from a pair already in lowest
-    terms with denominator > 0, built without Fraction's gcd and type
-    dispatch: the two slots are written directly, as CPython's own
-    Fraction._from_coprime_ints (3.12+) does. The slot names are those of
-    CPython 3.10-3.13. A pair that is not reduced gives a Fraction that
-    compares and hashes wrongly, so callers must guarantee both conditions.
-    """
-    value = _new(Fraction)
-    value._numerator = numerator
-    value._denominator = denominator
-    return value
 
 
 def _strip(x: int, b: int) -> tuple[int, int]:
@@ -140,7 +130,7 @@ def coprime_base(numbers) -> list[int]:
     return base
 
 
-def rational_recurrence(lams, window, n: int) -> list[Fraction]:
+def rational_recurrence(lams, window, n: int) -> tuple[Fraction, ...]:
     """alpha_0..alpha_n of alpha_{m+1} = sum_i lams[i] alpha_{m-i} as
     reduced Fractions, from the window (alpha_{-(k-1)}, ..., alpha_0); lams
     and window hold Fractions.
@@ -165,8 +155,8 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction]:
     are finitely many. The loop has only big-by-small products, sums,
     exact // and % by small ints, gcds of small ints, and one division of
     the denominator per step at most. The values are kept in growing lists
-    read by negative index, as in iterate, and become Fractions by writing
-    their slots in bulk.
+    read by negative index, as in iterate, and become Fractions by
+    _written.
 
     Only the differences of the exponents matter to a step, so its small
     factors are computed once per window shape (see shape_of), and the next
@@ -175,12 +165,12 @@ def rational_recurrence(lams, window, n: int) -> list[Fraction]:
     base = coprime_base([x.denominator for x in (*lams, *window)])
     while True:
         values = _recurrence_over(base, lams, window, n)
-        if type(values) is list:
+        if type(values) is tuple:
             return values
         base = coprime_base([*base, values])
 
 
-def _recurrence_over(base, lams, window, n: int) -> list[Fraction] | int:
+def _recurrence_over(base, lams, window, n: int) -> tuple[Fraction, ...] | int:
     """rational_recurrence's run over B = base: its values, or the proper
     factor of an element of B that a step found."""
     modulus = prod(base)
@@ -311,7 +301,7 @@ def _recurrence_over(base, lams, window, n: int) -> list[Fraction] | int:
                 nxt = follow[counts] = shape_of()[0]
             step, top = nxt, E
     del numerators[: k - 1], denominators[: k - 1]
-    return _written(numerators, denominators, n + 1, list)
+    return _written(numerators, denominators, n + 1)
 
 
 def mat_mul(a, b):
@@ -380,7 +370,7 @@ def rational_companion_power(lams, window, e: int) -> tuple[Fraction, ...]:
     v_p(lams[i-1]) >= -i g v_p(b). So b^(v_b(q^t d) - s) divides N_t for
     s = max(0, ceil(t g - c)), and result t is
     (N_t / prod b^(v_b(q^t d) - s)) / prod b^s, whose gcd works on about
-    the reduced sizes; the reduced pair is written by reduced.
+    the reduced sizes; the reduced pairs are written by _written.
     With integral coefficients q = 1, every s is v_b(d), and this is the
     integer path of same_arithmetic."""
     q = lcm(*(c.denominator for c in lams))
@@ -405,8 +395,8 @@ def rational_companion_power(lams, window, e: int) -> tuple[Fraction, ...]:
         common = gcd(x, under) if under != 1 else 1
         if common != 1:
             x, under = x // common, under // common
-        out.append(reduced(x, under))
-    return tuple(out)
+        out.append((x, under))
+    return _written(*zip(*out), len(out))
 
 
 def iterate(lams, window: list, n: int) -> list:

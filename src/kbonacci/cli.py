@@ -82,7 +82,7 @@ def _rational(value, where: str, error_cls) -> Fraction:
     if not isinstance(value, (int, str)):
         raise error_cls(f"{where}: expected a rational, got {type(value).__name__}")
     try:
-        return Fraction(value)
+        return _exact.as_fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise error_cls(f"{where}: cannot parse rational {value!r} ({exc})") from None
 

@@ -7,7 +7,8 @@ Grammar (x is the single variable; uint is a bare decimal integer):
     factor := atom ('^' uint)?
     atom   := number | 'x' | '(' expr ')' | '-' atom
 
-Numbers are decimal literals (digits with an optional fractional part);
+Numbers are decimal literals (decimal digits with an optional fractional
+part, str.isdecimal, so no superscripts);
 fractions such as 3/2 go through the division rule, which is equivalent
 because '/' is left-associative, and constant folding in as_affine recovers
 the exact rational. All literals are exact rationals, so evaluation at a
@@ -17,7 +18,9 @@ compiles a tree once into closures for repeated float evaluation, with
 the same results and errors. parse refuses a tree with more than 100
 operators on a path from its root, or text with more than 100
 parentheses and signs open at once (ExpressionSyntaxError), so that every
-walker here recurses well inside the default recursion limit.
+walker here recurses well inside the default recursion limit. It also
+refuses a power of degree above 10 000, the product of the '^' exponents
+on a path from the root, so that folding a constant stays fast.
 """
 
 from __future__ import annotations
@@ -116,17 +119,17 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                if i >= n or not text[i].isdigit():
+                if i >= n or not text[i].isdecimal():
                     raise ExpressionSyntaxError(
                         "expected digits after decimal point", i, ("digit",)
                     )
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
             lit = text[start:i]
             tokens.append(_Token("number", lit, start, Fraction(lit)))
@@ -153,10 +156,16 @@ def _tokenize(text: str) -> list[_Token]:
 # recursion limit of 1000.
 _MAX_DEPTH = 100
 
+# The most that the '^' exponents on any path from the root to a leaf may
+# multiply to: a folded constant has at most that many times the digits of
+# the literals under it, where 10^100000000000000 would have 10^14 digits.
+_MAX_POWER = 10_000
+
 
 class _Parser:
-    """Recursive descent; each method returns (node, height), the height
-    being the most operators on a path from the node to a leaf."""
+    """Recursive descent; each method returns (node, height, power), the
+    height being the most operators and the power the largest product of
+    '^' exponents on a path from the node to a leaf."""
 
     def __init__(self, text: str):
         self.text = text
@@ -187,69 +196,75 @@ class _Parser:
         return height + 1
 
     def parse(self) -> ExprNode:
-        node, _ = self.expr()
+        node, _, _ = self.expr()
         if self.peek().kind != "end":
             self.fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
         return node
 
-    def expr(self) -> tuple[ExprNode, int]:
-        node, height = self.term()
+    def expr(self) -> tuple[ExprNode, int, int]:
+        node, height, power = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
             tok = self.advance()
-            rhs, rhs_height = self.term()
+            rhs, rhs_height, rhs_power = self.term()
             node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            height = self.deeper(tok, max(height, rhs_height))
-        return node, height
+            height, power = self.deeper(tok, max(height, rhs_height)), max(power, rhs_power)
+        return node, height, power
 
-    def term(self) -> tuple[ExprNode, int]:
-        node, height = self.factor()
+    def term(self) -> tuple[ExprNode, int, int]:
+        node, height, power = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
             tok = self.advance()
-            rhs, rhs_height = self.factor()
+            rhs, rhs_height, rhs_power = self.factor()
             node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
-            height = self.deeper(tok, max(height, rhs_height))
-        return node, height
+            height, power = self.deeper(tok, max(height, rhs_height)), max(power, rhs_power)
+        return node, height, power
 
-    def factor(self) -> tuple[ExprNode, int]:
-        node, height = self.atom()
+    def factor(self) -> tuple[ExprNode, int, int]:
+        node, height, power = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             height = self.deeper(self.advance(), height)
             tok = self.peek()
             # Exponents are bare unsigned integer literals.
             if tok.kind != "number" or tok.value is None or tok.value.denominator != 1:
                 self.fail(("unsigned integer",))
+            power *= tok.value.numerator
+            if power > _MAX_POWER:
+                raise ExpressionSyntaxError(
+                    f"power of degree {power} exceeds {_MAX_POWER}", tok.offset, ()
+                )
             self.advance()
             node = Pow(node, tok.value.numerator)
-        return node, height
+        return node, height, power
 
-    def atom(self) -> tuple[ExprNode, int]:
+    def atom(self) -> tuple[ExprNode, int, int]:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Const(tok.value), 0
+            return Const(tok.value), 0, 1
         if tok.kind == "x":
             self.advance()
-            return Var(), 0
+            return Var(), 0, 1
         if tok.kind != "op" or tok.text not in "(-":
             self.fail(("number", "'x'", "'('", "'-'"))
         # Refused before the descent, as each level takes parser frames.
         self.open = self.deeper(self.advance(), self.open)
         if tok.text == "(":
-            node, height = self.expr()
+            node, height, power = self.expr()
             closing = self.peek()
             if closing.kind != "op" or closing.text != ")":
                 self.fail(("')'",))
             self.advance()
         else:
-            node, height = self.atom()
+            node, height, power = self.atom()
             node, height = Neg(node), self.deeper(tok, height)
         self.open -= 1
-        return node, height
+        return node, height, power
 
 
 def parse(text: str) -> ExprNode:
     """Parse expression text into an AST; ExpressionSyntaxError on failure,
-    a tree nested deeper than _MAX_DEPTH levels included."""
+    a tree nested deeper than _MAX_DEPTH levels or with a power of degree
+    above _MAX_POWER included."""
     return _Parser(text).parse()
 
 
@@ -433,6 +448,8 @@ def _precedence(node: ExprNode) -> int:
         return 3
     if isinstance(node, Pow):
         return 4
+    if isinstance(node, Const) and "/" in _render_rational(node.value):
+        return 2  # p/q reparses to a Div
     return 5
 
 
@@ -495,7 +512,7 @@ def unparse(node: ExprNode) -> str:
         return f"{base}^{node.exponent}"
     if isinstance(node, Neg):
         inner = unparse(node.operand)
-        if not isinstance(node.operand, (Const, Var, Neg)):
+        if not (isinstance(node.operand, Neg) or _precedence(node.operand) == 5):
             inner = f"({inner})"
         return f"-{inner}"
     raise TypeError(f"not an expression node: {node!r}")

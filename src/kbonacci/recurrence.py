@@ -16,23 +16,21 @@ coefficient case, the Miles multinomial formula. All three are exact and
 return fractions.Fraction values. Iteration and companion powers share one
 integer path: with integral coefficients they run on Python ints, several
 times faster than Fraction arithmetic, the seeds scaled by the lcm of their
-denominators (see _exact.same_arithmetic). An iteration step on ints adds
-the terms of coefficient +1, subtracts those of -1 and multiplies only by
-the other coefficients, reading its k terms by index from the growing list
-of values. Iteration with non-integral coefficients runs on ints as well,
-for any denominators: each value is kept in lowest terms from its
-denominator's exponents over a coprime base of the input denominators,
-found by gcds with no factoring, and becomes a Fraction by writing its
-reduced pair directly (see _exact.rational_recurrence and _exact.reduced).
-Companion powers with any coefficients run on the integers
-mu_i = lambda_i q^i, q the lcm of the coefficients' denominators (q = 1
-for integral ones), and each result is divided back once, after the part
-of q^n that its denominator provably lacks over the same coprime base is
-divided out (see _exact.rational_companion_power). matrix_sequence stays on
-Fractions for non-integral coefficients, an independent route to check
-iteration against. Miles' sum computes each of its partial sums once, each
-term from the one before it by a ratio of small ints, with no comb per
-inner term (see miles_number), and never uses the recurrence. The iteration and
+denominators (see _exact.same_arithmetic). Iteration with non-integral
+coefficients runs on ints as well, for any denominators: each value is
+kept in lowest terms from its denominator's exponents over a coprime base
+of the input denominators, found by gcds with no factoring, and its
+reduced pair is written into a Fraction directly (see
+_exact.rational_recurrence and _exact._written). Companion powers with any
+coefficients run on the integers mu_i = lambda_i q^i, q the lcm of the
+coefficients' denominators (q = 1 for integral ones), and each result is
+divided back once, after the part of q^n that its denominator provably
+lacks over the same coprime base is divided out (see
+_exact.rational_companion_power). matrix_sequence stays on Fractions for
+non-integral coefficients, an independent route to check iteration
+against. Miles' sum computes each of its partial sums once, each term from
+the one before it by a ratio of small ints, with no comb per inner term
+(see miles_number), and never uses the recurrence. The iteration and
 companion loops themselves are _exact.iterate and _exact.companion_sequence,
 which use only exact +, - and *: the command line runs them on
 decimal.Decimal to print integer values in linear time.
@@ -147,7 +145,7 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
     """
     d, lams, window = _inputs(coeffs, seeds, n_max, "n_max")
     if any(c.denominator != 1 for c in coeffs.values):
-        return ExactSequence(tuple(_exact.rational_recurrence(lams, window, n_max)))
+        return ExactSequence(_exact.rational_recurrence(lams, window, n_max))
     return ExactSequence(_exact.fractions(_exact.iterate(lams, window, n_max), d))
 
 

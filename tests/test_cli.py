@@ -155,6 +155,52 @@ class TestFloatRangeInputs:
         assert err == "error: float64 overflow at level n=0\n"
 
 
+class TestUnreachableInputs:
+    """Inputs whose exact value would take hours to build, and digits that
+    no literal reads: exit 1 with one error line, before any work."""
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_coeffs_literal_exponent(self, capsys, sign):
+        assert main(["sequence", "--coeffs", f"1e{sign}1000000000000,1", "-n", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: --coeffs: cannot parse rational '1e{sign}1000000000000' "
+            "(exponent outside [-10000, 10000])\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec,error",
+        [
+            (
+                {"k": 1, "functions": ["x + 10^100000000000000"], "vacuum": ["0"]},
+                "functions[0]: power of degree 100000000000000 exceeds 10000 at offset 7",
+            ),
+            (
+                {"k": 1, "functions": ["x^²"], "vacuum": ["0"]},
+                "functions[0]: unexpected character '²' at offset 2",
+            ),
+            (
+                {"k": 1, "linear": ["1e10001"], "vacuum": ["0"]},
+                "linear[0]: cannot parse rational '1e10001' (exponent outside [-10000, 10000])",
+            ),
+            (
+                {"k": 1, "linear": ["1"], "vacuum": ["1e-1000000000000"]},
+                "vacuum[0]: cannot parse rational '1e-1000000000000' "
+                "(exponent outside [-10000, 10000])",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("arithmetic", ["exact", "float64"])
+    def test_spec_exits_1(self, tmp_path, capsys, spec, error, arithmetic):
+        path = write_spec(tmp_path, dict(spec, arithmetic=arithmetic))
+        for argv in (["spectrum", path], ["verify", path, "--dim", "3"]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {error}\n"
+
+
 class TestSpecFileErrors:
     def test_invalid_json_reports_position(self, tmp_path, capsys):
         path = write_spec(tmp_path, '{"k": 2,,}')

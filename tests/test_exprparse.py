@@ -122,6 +122,39 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError):
             parse("x^1.5")
 
+    @pytest.mark.parametrize("text,offset", [("x^²", 2), ("²", 0), ("x + 1²", 5), ("1.²", 2)])
+    def test_non_decimal_digits_refused(self, text, offset):
+        # str.isdigit accepts superscripts, which Fraction cannot read
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(text)
+        assert err.value.offset == offset
+
+    def test_decimal_digits_of_any_script(self):
+        assert parse("\u0663*x^\u0662") == Mul(Const(F(3)), Pow(Var(), 2))
+
+
+class TestPowerBound:
+    @pytest.mark.parametrize(
+        "text", ["x^10000", "10^10000", "(x^100)^100", "((x^10)^10)^100", "(x^0)^100000", "x^9999*x^9999"]
+    )
+    def test_at_the_bound(self, text):
+        assert unparse(parse(text)).replace(" ", "") == text.replace(" ", "")
+
+    @pytest.mark.parametrize(
+        "text,offset,degree",
+        [
+            ("x^10001", 2, 10001),
+            ("x + 10^100000000000000", 7, 100000000000000),
+            ("(x^100)^101", 8, 10100),
+            ("((10^10)^10)^101", 13, 10100),
+            ("(1 + (x^2 - 1)^5001)^1", 15, 10002),
+        ],
+    )
+    def test_past_the_bound_refused(self, text, offset, degree):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"power of degree {degree} exceeds 10000 at offset {offset}"
+
 
 def _stack_depth() -> int:
     frame, depth = sys._getframe(), 0
@@ -244,6 +277,13 @@ def trees(consts):
 
 exprs = trees(smooth_consts)
 
+# Signed constants whose denominators are not 10-smooth render as p/q.
+signed_rationals = st.builds(
+    lambda n, d: Const(F(n, d)),
+    st.integers(min_value=-50, max_value=50),
+    st.sampled_from([1, 2, 3, 7, 9, 12, 35]),
+)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text,_x,_v", EVAL_CORPUS)
@@ -255,13 +295,30 @@ class TestRoundTrip:
     def test_structural_identity(self, tree):
         assert parse(unparse(tree)) == tree
 
-    @given(exprs, st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    # Signed constants that render as p/q must each reparse as one operand.
+    @given(exprs | trees(signed_rationals), st.fractions(min_value=-3, max_value=3, max_denominator=6))
     def test_value_preserved(self, tree, x):
         try:
             expected = evaluate(tree, x)
         except DivisionByZeroError:
             return
         assert evaluate(parse(unparse(tree)), x) == expected
+
+    @pytest.mark.parametrize(
+        "tree,text",
+        [
+            (Div(Var(), Const(F(1, 3))), "x/(1/3)"),
+            (Div(Var(), Const(F(-1, 3))), "x/(-1/3)"),
+            (Div(Const(F(2)), Const(F(1, 3))), "2/(1/3)"),
+            (Div(Var(), Neg(Const(F(1, 3)))), "x/-(1/3)"),
+            (Mul(Var(), Const(F(2, 3))), "x*(2/3)"),
+            (Mul(Const(F(2, 3)), Var()), "2/3*x"),
+            (Sub(Var(), Const(F(-2, 3))), "x - -2/3"),
+        ],
+    )
+    def test_rational_constant_operands(self, tree, text):
+        assert unparse(tree) == text
+        assert evaluate(parse(text), F(5)) == evaluate(tree, F(5))
 
     def test_fraction_const_renders_exactly(self):
         assert unparse(Const(F(3, 2))) == "1.5"

@@ -152,6 +152,16 @@ class TestSeeds:
         with pytest.raises(TypeError):
             CoefficientVector((1.0, 1.0))
 
+    @pytest.mark.parametrize("text", ["1e10000", "1E-10000", "2.5e+10000 ", "1e0010000"])
+    def test_literal_exponent_at_the_bound(self, text):
+        assert CoefficientVector((text,)).values == (F(text),)
+
+    @pytest.mark.parametrize("text", ["1e10001", "1E-10001", "2.5e+1_0001 ", "1e1000000000000"])
+    def test_literal_exponent_past_the_bound_refused(self, text):
+        # Fraction would build 10^|e| first: 10^12 digits for 1e1000000000000
+        with pytest.raises(ValueError, match=r"exponent outside \[-10000, 10000\]"):
+            CoefficientVector((text,))
+
 
 class TestMatrixForm:
     def test_companion_shape(self):
@@ -517,10 +527,9 @@ class TestRationalKernel:
     )
     def test_kernel_equals_fraction_oracle(self, lams, seeds):
         coeffs, state = problem_of(lams, seeds)
-        assert_reduced_and_equal(
-            _exact.rational_recurrence(coeffs.values, state.extended, 60),
-            list(fraction_oracle(coeffs, state, 60)),
-        )
+        values = _exact.rational_recurrence(coeffs.values, state.extended, 60)
+        assert type(values) is tuple
+        assert_reduced_and_equal(values, fraction_oracle(coeffs, state, 60))
 
     @pytest.mark.parametrize(
         "numbers,base",
@@ -605,13 +614,15 @@ def coprime_pairs(draw):
 
 
 class TestReduced:
-    """_exact.reduced writes Fraction's slots directly; the result must be
-    indistinguishable from Fraction(p, q)."""
+    """_exact._written writes reduced pairs into Fraction's slots directly;
+    each result must be indistinguishable from Fraction(p, q)."""
 
     @settings(deadline=None)
     @given(coprime_pairs(), coprime_pairs())
     def test_same_as_fraction(self, pair, other):
-        value, expected = _exact.reduced(*pair), F(*pair)
+        written = _exact._written([pair[0], other[0]], [pair[1], other[1]], 2)
+        assert type(written) is tuple and written[1] == F(*other)
+        value, expected = written[0], F(*pair)
         assert type(value) is F
         assert value == expected
         assert (value.numerator, value.denominator) == pair
@@ -630,11 +641,16 @@ class TestReduced:
 
     @pytest.mark.parametrize("d", [1, 6])
     def test_fractions_returns_fraction_tuple(self, d):
-        values = _exact.fractions([0, -4, 12, F(3, 7)], d)
-        assert isinstance(values, tuple)
-        assert all(type(v) is F for v in values)
-        assert values == tuple(F(v) / d for v in (0, -4, 12, F(3, 7)))
-        assert [hash(v) for v in values] == [hash(F(v) / d) for v in (0, -4, 12, F(3, 7))]
+        # the two kinds of column: all ints with any d, all Fractions with d = 1
+        for column, divisor in (([0, -4, 12, -(1 << 90)], d), ([F(0), F(-4), F(3, 7)], 1)):
+            values = _exact.fractions(column, divisor)
+            assert type(values) is tuple
+            assert all(type(v) is F for v in values)
+            assert values == tuple(F(v) / divisor for v in column)
+            assert [hash(v) for v in values] == [hash(F(v) / divisor) for v in column]
+        fractions = [F(1, 3), F(-2, 7)]
+        assert all(a is b for a, b in zip(_exact.fractions(fractions), fractions))
+        assert _exact.fractions([], d) == ()
 
     @settings(deadline=None)
     @given(
