@@ -319,7 +319,9 @@ def _values(method: str, coeffs: CoefficientVector, seeds, n: int, args) -> list
     """alpha_0..alpha_n by method, run in _EXACT: the library's integer
     kernels on Decimals for direct and matrix when every coefficient and
     seed window value is an integer, else the library's Fraction routes.
-    Miles' sums are Decimals too, so that --check subtracts like types."""
+    Miles' column is one table of partial sums, built bottom-up over the
+    states that the targets 0..n reach (see recurrence._miles_sums), and is
+    returned as Decimals too, so that --check subtracts like types."""
     inputs = (*coeffs.values, *seeds.extended)
     if method in ("direct", "matrix") and all(x.denominator == 1 for x in inputs):
         ints = [Decimal(x.numerator) for x in inputs]
@@ -337,9 +339,8 @@ def _values(method: str, coeffs: CoefficientVector, seeds, n: int, args) -> list
                 "miles requires unit coefficients (all lambda_i = 1, k >= 2) "
                 "and the unit vacuum seed (1, 0, ..., 0)"
             )
-        # E_m = F_{m+k-1}^(k); one memo serves the column
-        miles = _miles_sums()
-        return [Decimal(miles(coeffs.k, m)) for m in range(n + 1)]
+        # E_m = F_{m+k-1}^(k), the whole column from one bottom-up table
+        return [Decimal(v) for v in _miles_sums(coeffs.k, 0, n)]
     roots = spectral.find_roots(spectral.char_poly(coeffs), tol=args.tol, max_iter=args.max_iter)
     modes = spectral.binet_form(coeffs, seeds, roots)
     return [spectral.binet_eval(modes, roots, m) for m in range(n + 1)]
@@ -395,14 +396,12 @@ def _poly_text(desc) -> str:
     top = len(desc) - 1
     parts = []
     for i, c in enumerate(desc):
-        if c == 0:
-            continue
         body = _poly_term(abs(c), top - i)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts) if parts else "0"
+    return " ".join(parts)
 
 
 def _cmd_eigen(args) -> _Report:

@@ -20,7 +20,9 @@ operators on a path from its root, or text with more than 100
 parentheses and signs open at once (ExpressionSyntaxError), so that every
 walker here recurses well inside the default recursion limit. It also
 refuses a power of degree above 10 000, the product of the '^' exponents
-on a path from the root, so that folding a constant stays fast.
+on a path from the root, so that folding a constant stays fast. A number
+literal with more digits than the interpreter's int-to-str limit allows is
+refused at its offset too; the command line lifts that limit.
 """
 
 from __future__ import annotations
@@ -132,7 +134,12 @@ def _tokenize(text: str) -> list[_Token]:
                 while i < n and text[i].isdecimal():
                     i += 1
             lit = text[start:i]
-            tokens.append(_Token("number", lit, start, Fraction(lit)))
+            try:
+                value = Fraction(lit)
+            except ValueError:  # more digits than the int-to-str limit allows
+                message = f"number literal of {i - start} characters exceeds the integer digit limit"
+                raise ExpressionSyntaxError(message, start, ("number",)) from None
+            tokens.append(_Token("number", lit, start, value))
             continue
         if ch == "x":
             tokens.append(_Token("x", ch, i))

@@ -28,9 +28,11 @@ divided back once, after the part of q^n that its denominator provably
 lacks over the same coprime base is divided out (see
 _exact.rational_companion_power). matrix_sequence stays on Fractions for
 non-integral coefficients, an independent route to check iteration
-against. Miles' sum computes each of its partial sums once, each term from
-the one before it by a ratio of small ints, with no comb per inner term
-(see miles_number), and never uses the recurrence. The iteration and
+against. Miles' sum tabulates its partial sums bottom-up, one weight at a
+time, over only the states (parts placed, weight left) that its targets
+reach; each term comes from the one before it by a ratio of small ints,
+with no comb per inner term and no recursion (see _miles_sums and
+miles_number), and the recurrence is never used. The iteration and
 companion loops themselves are _exact.iterate and _exact.companion_sequence,
 which use only exact +, - and *: the command line runs them on
 decimal.Decimal to print integer values in linear time.
@@ -38,13 +40,12 @@ decimal.Decimal to print integer values in linear time.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from . import _exact
-from .errors import ComputationError, DomainError, OrderMismatchError
+from .errors import DomainError, OrderMismatchError
 
 __all__ = [
     "CoefficientVector",
@@ -170,95 +171,85 @@ def matrix_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> 
     return ExactSequence(_exact.fractions(values, d))
 
 
-def _miles_sums():
-    """Return miles(k, t) = F_{t+k-1}^(k) by Miles' sum, with a fresh memo
-    of partial sums.
+def _miles_sums(k: int, lo: int, hi: int) -> list[int]:
+    """[F_{t+k-1}^(k) for t = lo..hi] by Miles' sum (see miles_number).
 
-    partial(weight, remaining, total) is the sum over a_weight, ..., a_1 >= 0
-    with a_1 + 2 a_2 + ... + weight a_weight = remaining of the product of
-    comb(total + a_weight + ... + a_j, a_j), j = weight..1, so that
-    miles(k, t) = partial(k, t, 0). No memo key depends on the target, so
-    one miles serves a whole column of t for one k; the memo lives as long
-    as the function returned. a_j = 0 for every j > remaining, so a weight
-    above remaining is lowered to it, and the recursion is at most
-    min(k, t) deep. Where that passes the interpreter's recursion limit,
-    miles raises ComputationError; the memo keeps only finished sums.
+    Bottom-up, weight by weight from w = 2 to k: a table holds, for each
+    state (s, r) of s parts placed at weights above w and weight r still
+    to place, the sum over the weights w..1 that remain,
+
+        sum_w(s, r) = sum over a of comb(s + a, a) * sum_{w-1}(s + a, r - a w),
+
+    so F_{t+k-1}^(k) = sum_k(0, t). A target t reaches (s, r) only if
+    (w + 1) s <= t - r <= k s: row s holds r = max(0, lo - k s) to
+    hi - (w + 1) s, after zeros that no later weight reads, and weight k
+    has row 0 alone. Two tables are alive at a time. No part fits at a
+    weight above hi, so the weights stop at max(2, hi) where k is larger.
     """
-    memo = {}
+    k = min(k, max(2, hi))
 
-    def partial(weight: int, remaining: int, total: int) -> int:
-        if weight > remaining:
-            weight = remaining or 1
-        if weight == 1:
-            return comb(total + remaining, remaining)
-        key = (weight, remaining, total)
-        value = memo.get(key)
-        if value is not None:
-            return value
-        if weight == 2:
-            # term_a = C(t+a, a) C(n-a, K), n = t + r, K = r - 2a; the ratio
-            # and why each // is exact are in miles_number's docstring
-            n = total + remaining
-            term = value = comb(n, remaining)
-            for a in range(remaining // 2):
-                K = remaining - 2 * a
+    def spans(w: int):
+        count = 1 if w == k else hi // (w + 1) + 1
+        return [range(max(0, lo - k * s), hi - (w + 1) * s + 1) for s in range(count)]
+
+    below = []
+    for s, rs in enumerate(spans(2)):
+        row = [0] * rs.start
+        for r in rs:
+            # term_a = C(s+a, a) C(n-a, K), n = s + r, K = r - 2a
+            n = s + r
+            term = value = comb(n, r)
+            for a in range(r // 2):
+                K = r - 2 * a
                 term = term * (K * (K - 1)) // ((a + 1) * (n - a))
                 value += term
-        else:
-            # c = C(total + a, a), from C(total + a - 1, a - 1), exactly
-            c = 1
-            value = partial(weight - 1, remaining, total)
-            for a in range(1, remaining // weight + 1):
-                c = c * (total + a) // a
-                value += c * partial(weight - 1, remaining - a * weight, total + a)
-        memo[key] = value
-        return value
-
-    def miles(k: int, t: int) -> int:
-        try:
-            return partial(k, t, 0)
-        except RecursionError:
-            raise ComputationError(
-                f"Miles' sum for F_{t + k - 1}^({k}) recurses past the interpreter's "
-                f"recursion limit ({sys.getrecursionlimit()})"
-            ) from None
-
-    return miles
+            row.append(value)
+        below.append(row)
+    for w in range(3, k + 1):
+        table = []
+        for s, rs in enumerate(spans(w)):
+            row = [0] * rs.start
+            for r in rs:
+                # c = C(s + a, a), from C(s + a - 1, a - 1), exactly
+                c = 1
+                value = below[s][r]
+                for a in range(1, r // w + 1):
+                    c = c * (s + a) // a
+                    value += c * below[s + a][r - a * w]
+                row.append(value)
+            table.append(row)
+        below = table
+    return below[0][lo:]
 
 
 def miles_number(k: int, m: int) -> int:
     """k-generalized Fibonacci number F_m^(k) by the multinomial sum.
 
     F_m^(k) = sum over a_1 + 2 a_2 + ... + k a_k = m - k + 1 of
-    (a_1 + ... + a_k)! / (a_1! ... a_k!). The sum runs over a_k, then
-    a_{k-1}, ..., down to a_1, and the multinomial factor is built along the
-    way as a product of binomials comb(a_k + ... + a_j, a_j), so no full
-    factorials are formed. The part of the sum below a given choice of
-    a_k, ..., a_{j+1} depends only on (j, the weight still to place, the
-    count so far); each such partial sum is computed once, kept in a dict
-    local to the call, and multiplied by the factor built above it.
+    (a_1 + ... + a_k)! / (a_1! ... a_k!). The multinomial factor is a
+    product of binomials comb(a_k + ... + a_j, a_j), j = k..1, so no full
+    factorials are formed. The partial sums below each weight are tabulated
+    once, bottom-up over the states (s parts placed above j, r weight left)
+    that the target reaches, with no recursion (see _miles_sums).
 
     No comb is taken per inner term. At j = 2 the sum over a_2 is
-    hypergeometric: with t the count so far, r the weight left, n = t + r
-    and K = r - 2 a_2, its term is (n - a_2)! / (a_2! t! K!), and the next
-    term is this one times K (K - 1) / ((a_2 + 1) (n - a_2)), starting from
-    comb(n, r). At j >= 3 the factor comb(t + a_j, a_j) is carried along
-    the loop as c * (t + a_j) // a_j. Both products are formed before the
-    division, and its quotient is the next term or binomial, an integer,
-    so each // is exact. This regroups the same multinomial terms: the
-    value never comes from the recurrence, so it stays an independent
-    check of iteration.
+    hypergeometric: with n = s + r and K = r - 2 a_2, its term is
+    (n - a_2)! / (a_2! s! K!), and the next term is this one times
+    K (K - 1) / ((a_2 + 1) (n - a_2)), starting from comb(n, r). At j >= 3
+    the factor comb(s + a_j, a_j) is carried along the loop as
+    c * (s + a_j) // a_j. Both products are formed before the division, and
+    its quotient is the next term or binomial, an integer, so each // is
+    exact. This regroups the same multinomial terms: the value never comes
+    from the recurrence, so it stays an independent check of iteration.
 
-    Requires k >= 2 and m >= k - 1 (DomainError otherwise). The partial
-    sums recurse min(k, m - k + 1) deep; past the interpreter's recursion
-    limit this raises ComputationError.
+    Requires k >= 2 and m >= k - 1 (DomainError otherwise).
     """
     if k < 2:
         raise DomainError("miles_number requires order k >= 2")
     target = m - k + 1
     if target < 0:
         raise DomainError(f"m must be >= k - 1, got m={m} for k={k}")
-    return _miles_sums()(k, target)
+    return _miles_sums(k, target, target)[0]
 
 
 def energy_from_miles(k: int, n: int) -> int:

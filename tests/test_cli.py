@@ -278,6 +278,14 @@ class TestSpecFileErrors:
         assert out == ""
         assert err == "error: field 'tolerances': unknown fields ['verfy']\n"
 
+    @pytest.mark.parametrize("tolerances", [5, [1e-3]], ids=["number", "list"])
+    def test_tolerances_not_an_object(self, tmp_path, capsys, tolerances):
+        data = dict(SPEC_212, tolerances=tolerances)
+        assert main(["verify", write_spec(tmp_path, data), "--dim", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: field 'tolerances': must be an object\n"
+
     def test_missing_file(self, capsys):
         assert main(["spectrum", "/nonexistent/spec.json"]) == 1
         assert "spec file" in capsys.readouterr().err

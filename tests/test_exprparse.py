@@ -156,6 +156,35 @@ class TestPowerBound:
         assert str(err.value) == f"power of degree {degree} exceeds 10000 at offset {offset}"
 
 
+@pytest.fixture
+def digit_limit():
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+class TestDigitLimit:
+    LONG = [("1" * 5000, 0, 5000), ("x + 0." + "1" * 5000, 4, 5002)]
+
+    @pytest.mark.parametrize("text,offset,length", LONG, ids=["integer", "decimal"])
+    def test_literal_past_the_limit_refused(self, digit_limit, text, offset, length):
+        digit_limit(4300)
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == (
+            f"number literal of {length} characters exceeds the integer digit limit at offset {offset}"
+        )
+
+    @pytest.mark.parametrize("text,offset,length", LONG, ids=["integer", "decimal"])
+    def test_literal_parses_once_the_limit_is_lifted(self, digit_limit, text, offset, length):
+        digit_limit(0)
+        value = F("1" * 5000) / (1 if offset == 0 else 10**5000)
+        assert evaluate(parse(text), F(0)) == value
+
+
 def _stack_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:

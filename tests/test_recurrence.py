@@ -33,6 +33,7 @@ from kbonacci import (
     miles_number,
 )
 from kbonacci.cli import main
+from kbonacci.recurrence import _miles_sums
 
 
 def fib_setup():
@@ -227,16 +228,17 @@ class TestMiles:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_cli_column_equals_per_call(self, k, capsys):
-        # the command line builds the whole column from one memo; each
-        # miles_number call starts from an empty one
+        # the command line takes the whole column t = 0..60 from one table;
+        # each miles_number call builds a table for its target alone
         coeffs = ",".join(["1"] * k)
         assert main(["sequence", "--coeffs", coeffs, "-n", "60", "--method", "miles", "--format", "csv"]) == 0
         rows = capsys.readouterr().out.split()[1:]
         assert rows == [f"{n},{miles_number(k, n + k - 1)}" for n in range(61)]
 
     def test_order_past_the_recursion_limit(self, capsys):
-        # a weight above the weight left is lowered to it, so the partial
-        # sums recurse min(k, n) deep, not k deep
+        # an order far above the default recursion limit: the tables go up
+        # one weight at a time, and stop at weight max(2, n), as no part fits
+        # above n
         k = 1100
         c = CoefficientVector((F(1),) * k)
         s = extend_seeds(c, F(1), (F(0),) * (k - 1))
@@ -245,32 +247,44 @@ class TestMiles:
         assert main(["sequence", "--coeffs", coeffs, "-n", "3", "--method", "miles", "--check"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "max discrepancy vs direct: 0"
 
-    def test_past_the_recursion_limit_is_a_computation_error(self):
-        # min(k, t) = 100 frames past a lowered limit, in a subprocess where
-        # the limit cannot reach other tests; the memo keeps only finished
-        # sums, so the same function is right once the limit is raised
+    def test_exact_under_a_lowered_recursion_limit(self):
+        # nothing recurses, so a limit below k and t changes no value; in a
+        # subprocess, where the limit cannot reach other tests
         code = textwrap.dedent("""\
             import sys
+            from fractions import Fraction
+            from kbonacci import CoefficientVector, extend_seeds, iterate_sequence
             from kbonacci.cli import main
-            from kbonacci.errors import ComputationError
-            from kbonacci.recurrence import _miles_sums, miles_number
+            from kbonacci.recurrence import miles_number
             sys.setrecursionlimit(60)
-            miles = _miles_sums()
-            for call in (lambda: miles_number(100, 199), lambda: miles(100, 100)):
-                try:
-                    call()
-                except ComputationError as exc:
-                    print(exc)
-            rc = main(["sequence", "--coeffs", ",".join(["1"] * 100), "-n", "100", "--method", "miles"])
-            sys.setrecursionlimit(1000)
-            print(rc, miles(100, 100) == miles_number(100, 199))
+            c = CoefficientVector((Fraction(1),) * 100)
+            s = extend_seeds(c, Fraction(1), (Fraction(0),) * 99)
+            print(miles_number(100, 199) == iterate_sequence(c, s, 100).values[100])
+            rc = main(["sequence", "--coeffs", ",".join(["1"] * 100), "-n", "100", "--method", "miles", "--check"])
+            print(rc)
         """)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kbonacci.__file__)))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        message = "Miles' sum for F_199^(100) recurses past the interpreter's recursion limit (60)"
-        assert proc.stdout.splitlines() == [message, message, "3 True"]
-        errors = proc.stderr.splitlines()
-        assert len(errors) == 1 and errors[0].startswith("error: Miles' sum for F_")
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "True"
+        assert lines[-2:] == ["max discrepancy vs direct: 0", "0"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(min_value=2, max_value=8),
+        lo=st.integers(min_value=0, max_value=150),
+        width=st.integers(min_value=0, max_value=150),
+    )
+    def test_window_equals_per_call_and_iteration(self, k, lo, width):
+        # windows with lo > 0 reach fewer states than either caller's
+        hi = min(lo + width, 150)
+        c = CoefficientVector((F(1),) * k)
+        s = extend_seeds(c, F(1), (F(0),) * (k - 1))
+        direct = iterate_sequence(c, s, hi).values
+        window = _miles_sums(k, lo, hi)
+        assert window == [miles_number(k, t + k - 1) for t in range(lo, hi + 1)]
+        assert window == list(direct[lo:])
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
