@@ -1,33 +1,38 @@
 """Recursive-descent parser for single-variable arithmetic expressions.
 
-Grammar (x is the single variable; uint is a bare decimal integer):
+Grammar (x is the single variable; uint is a bare unsigned decimal integer,
+so an exponent has no sign, parentheses or decimal point):
 
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := atom ('^' uint)?
     atom   := number | 'x' | '(' expr ')' | '-' atom
 
-Numbers are decimal literals (decimal digits with an optional fractional
-part, str.isdecimal, so no superscripts);
-fractions such as 3/2 go through the division rule, which is equivalent
-because '/' is left-associative, and constant folding in as_affine recovers
-the exact rational. All literals are exact rationals, so evaluation at a
-Fraction argument is exact; evaluation at a float argument is float.
-evaluate walks the tree on every call and serves both; float_evaluator
-compiles a tree once into closures for repeated float evaluation, with
-the same results and errors. parse refuses a tree with more than 100
-operators on a path from its root, or text with more than 100
-parentheses and signs open at once (ExpressionSyntaxError), so that every
-walker here recurses well inside the default recursion limit. It also
-refuses a power of degree above 10 000, the product of the '^' exponents
-on a path from the root, so that folding a constant stays fast. A number
-literal with more digits than the interpreter's int-to-str limit allows is
-refused at its offset too; the command line lifts that limit.
+Each binary operator is stated once, in the table _BINARY: its token, its
+level in the grammar, its arithmetic and its text in unparse. The text is
+read with one pattern, _TOKEN, whose classes of space and of digits are
+str.isspace and str.isdecimal: numbers are decimal literals, decimal digits
+(so no superscripts) with an optional fractional part. Fractions such as
+3/2 go through the division rule, which is equivalent because '/' is
+left-associative, and constant folding in as_affine recovers the exact
+rational. All literals are exact rationals, so evaluation at a Fraction
+argument is exact; evaluation at a float argument is float. evaluate walks
+the tree on every call and serves both; float_evaluator compiles a tree
+once into closures for repeated float evaluation, with the same results
+and errors. parse refuses a tree with more than 100 operators on a path
+from its root, or text with more than 100 parentheses and signs open at
+once (ExpressionSyntaxError), so that every walker here recurses well
+inside the default recursion limit. It also refuses a power of degree above
+10 000, the product of the '^' exponents on a path from the root, so that
+folding a constant stays fast. A number literal with more digits than the
+interpreter's int-to-str limit allows is refused at its offset too; the
+command line lifts that limit.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -104,6 +109,21 @@ class Neg:
 ExprNode = Union[Const, Var, Add, Sub, Mul, Div, Pow, Neg]
 
 
+# Each binary operator: its token, its level (1 binds loosest), its
+# arithmetic and its text in unparse.
+_BINARY = {
+    Add: ("+", 1, operator.add, " + "),
+    Sub: ("-", 1, operator.sub, " - "),
+    Mul: ("*", 2, operator.mul, "*"),
+    Div: ("/", 2, operator.truediv, "/"),
+}
+_BY_TOKEN = {token: (cls, level) for cls, (token, level, _, _) in _BINARY.items()}
+
+# A number literal (one ending in '.' is refused) or one other character
+# that is not space; finditer skips the space, which matches neither.
+_TOKEN = re.compile(r"(\d+(?:\.\d*)?)|(\S)")
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str  # 'number', 'x', 'op', 'end'
@@ -114,45 +134,25 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            start = i
-            while i < n and text[i].isdecimal():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                if i >= n or not text[i].isdecimal():
-                    raise ExpressionSyntaxError(
-                        "expected digits after decimal point", i, ("digit",)
-                    )
-                while i < n and text[i].isdecimal():
-                    i += 1
-            lit = text[start:i]
+    for match in _TOKEN.finditer(text):
+        lit, ch = match.groups()
+        if ch is not None:
+            if ch not in _BY_TOKEN and ch not in "x^()":
+                raise ExpressionSyntaxError(
+                    f"unexpected character {ch!r}", match.start(2),
+                    ("number", "x", "operator", "parenthesis"),
+                )
+            tokens.append(_Token("x" if ch == "x" else "op", ch, match.start(2)))
+        elif lit.endswith("."):
+            raise ExpressionSyntaxError("expected digits after decimal point", match.end(), ("digit",))
+        else:
             try:
                 value = Fraction(lit)
             except ValueError:  # more digits than the int-to-str limit allows
-                message = f"number literal of {i - start} characters exceeds the integer digit limit"
-                raise ExpressionSyntaxError(message, start, ("number",)) from None
-            tokens.append(_Token("number", lit, start, value))
-            continue
-        if ch == "x":
-            tokens.append(_Token("x", ch, i))
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(
-            f"unexpected character {ch!r}", i, ("number", "x", "operator", "parenthesis")
-        )
-    tokens.append(_Token("end", "", n))
+                message = f"number literal of {len(lit)} characters exceeds the integer digit limit"
+                raise ExpressionSyntaxError(message, match.start(1), ("number",)) from None
+            tokens.append(_Token("number", lit, match.start(1), value))
+    tokens.append(_Token("end", "", len(text)))
     return tokens
 
 
@@ -203,36 +203,30 @@ class _Parser:
         return height + 1
 
     def parse(self) -> ExprNode:
-        node, _, _ = self.expr()
+        node, _, _ = self.binary(1)
         if self.peek().kind != "end":
-            self.fail(("'+'", "'-'", "'*'", "'/'", "end of input"))
+            self.fail(tuple(f"'{token}'" for token in _BY_TOKEN) + ("end of input",))
         return node
 
-    def expr(self) -> tuple[ExprNode, int, int]:
-        node, height, power = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
+    def binary(self, level: int) -> tuple[ExprNode, int, int]:
+        """expr at level 1, term at level 2: operands joined left to right
+        by the operators of that level."""
+        # Operands inline: a helper call would add a frame per parenthesis.
+        node, height, power = self.binary(2) if level == 1 else self.factor()
+        while (op := _BY_TOKEN.get(self.peek().text)) and op[1] == level:
             tok = self.advance()
-            rhs, rhs_height, rhs_power = self.term()
-            node = Add(node, rhs) if tok.text == "+" else Sub(node, rhs)
-            height, power = self.deeper(tok, max(height, rhs_height)), max(power, rhs_power)
-        return node, height, power
-
-    def term(self) -> tuple[ExprNode, int, int]:
-        node, height, power = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            tok = self.advance()
-            rhs, rhs_height, rhs_power = self.factor()
-            node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
+            rhs, rhs_height, rhs_power = self.binary(2) if level == 1 else self.factor()
+            node = op[0](node, rhs)
             height, power = self.deeper(tok, max(height, rhs_height)), max(power, rhs_power)
         return node, height, power
 
     def factor(self) -> tuple[ExprNode, int, int]:
         node, height, power = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+        if self.peek().text == "^":
             height = self.deeper(self.advance(), height)
             tok = self.peek()
             # Exponents are bare unsigned integer literals.
-            if tok.kind != "number" or tok.value is None or tok.value.denominator != 1:
+            if tok.kind != "number" or "." in tok.text:
                 self.fail(("unsigned integer",))
             power *= tok.value.numerator
             if power > _MAX_POWER:
@@ -256,9 +250,8 @@ class _Parser:
         # Refused before the descent, as each level takes parser frames.
         self.open = self.deeper(self.advance(), self.open)
         if tok.text == "(":
-            node, height, power = self.expr()
-            closing = self.peek()
-            if closing.kind != "op" or closing.text != ")":
+            node, height, power = self.binary(1)
+            if self.peek().text != ")":
                 self.fail(("')'",))
             self.advance()
         else:
@@ -286,12 +279,6 @@ def evaluate(node: ExprNode, x):
         return node.value
     if isinstance(node, Var):
         return x
-    if isinstance(node, Add):
-        return evaluate(node.left, x) + evaluate(node.right, x)
-    if isinstance(node, Sub):
-        return evaluate(node.left, x) - evaluate(node.right, x)
-    if isinstance(node, Mul):
-        return evaluate(node.left, x) * evaluate(node.right, x)
     if isinstance(node, Div):
         denom = evaluate(node.right, x)
         if denom == 0:
@@ -301,7 +288,16 @@ def evaluate(node: ExprNode, x):
         return evaluate(node.base, x) ** node.exponent
     if isinstance(node, Neg):
         return -evaluate(node.operand, x)
-    raise TypeError(f"not an expression node: {node!r}")
+    _, _, apply, _ = _operator(node)
+    return apply(evaluate(node.left, x), evaluate(node.right, x))
+
+
+def _operator(node: ExprNode) -> tuple:
+    """node's row of _BINARY; TypeError if node is no binary node."""
+    try:
+        return _BINARY[type(node)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {node!r}") from None
 
 
 def float_evaluator(node: ExprNode) -> Callable[[float], float]:
@@ -321,9 +317,6 @@ def float_evaluator(node: ExprNode) -> Callable[[float], float]:
     if callable(compiled):
         return compiled
     return lambda x: float(compiled)
-
-
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
 def _compile(node: ExprNode):
@@ -350,7 +343,7 @@ def _compile(node: ExprNode):
     left, right = _compile(node.left), _compile(node.right)
     if isinstance(node, Div):
         return _divide(left, right, unparse(node))
-    op = _BINARY[type(node)]
+    _, _, op, _ = _BINARY[type(node)]
     if not callable(left):
         return lambda x: op(left, right(x))
     if not callable(right):
@@ -401,32 +394,6 @@ def as_affine(node: ExprNode) -> tuple[Fraction, Fraction] | None:
         return Fraction(0), node.value
     if isinstance(node, Var):
         return Fraction(1), Fraction(0)
-    if isinstance(node, (Add, Sub)):
-        left = as_affine(node.left)
-        right = as_affine(node.right)
-        if left is None or right is None:
-            return None
-        if isinstance(node, Add):
-            return left[0] + right[0], left[1] + right[1]
-        return left[0] - right[0], left[1] - right[1]
-    if isinstance(node, Mul):
-        left = as_affine(node.left)
-        right = as_affine(node.right)
-        if left is None or right is None:
-            return None
-        if left[0] == 0:
-            return left[1] * right[0], left[1] * right[1]
-        if right[0] == 0:
-            return left[0] * right[1], left[1] * right[1]
-        return None
-    if isinstance(node, Div):
-        left = as_affine(node.left)
-        right = as_affine(node.right)
-        if left is None or right is None:
-            return None
-        if right[0] != 0 or right[1] == 0:
-            return None
-        return left[0] / right[1], left[1] / right[1]
     if isinstance(node, Pow):
         base = as_affine(node.base)
         if base is None:
@@ -443,14 +410,26 @@ def as_affine(node: ExprNode) -> tuple[Fraction, Fraction] | None:
         if inner is None:
             return None
         return -inner[0], -inner[1]
-    raise TypeError(f"not an expression node: {node!r}")
+    _, _, apply, _ = _operator(node)
+    left, right = as_affine(node.left), as_affine(node.right)
+    if left is None or right is None:
+        return None
+    if isinstance(node, Mul):
+        if left[0] == 0:
+            return left[1] * right[0], left[1] * right[1]
+        if right[0] == 0:
+            return left[0] * right[1], left[1] * right[1]
+        return None
+    if isinstance(node, Div):
+        if right[0] != 0 or right[1] == 0:
+            return None
+        return left[0] / right[1], left[1] / right[1]
+    return apply(left[0], right[0]), apply(left[1], right[1])
 
 
 def _precedence(node: ExprNode) -> int:
-    if isinstance(node, (Add, Sub)):
-        return 1
-    if isinstance(node, (Mul, Div)):
-        return 2
+    if type(node) in _BINARY:
+        return _BINARY[type(node)][1]
     if isinstance(node, Neg):
         return 3
     if isinstance(node, Pow):
@@ -501,14 +480,6 @@ def unparse(node: ExprNode) -> str:
         return _render_rational(node.value)
     if isinstance(node, Var):
         return "x"
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, 1)} + {_wrap(node.right, 1, True)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, 1)} - {_wrap(node.right, 1, True)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, 2)}*{_wrap(node.right, 2, True)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, 2)}/{_wrap(node.right, 2, True)}"
     if isinstance(node, Pow):
         base = unparse(node.base)
         bare = isinstance(node.base, Var) or (
@@ -522,4 +493,5 @@ def unparse(node: ExprNode) -> str:
         if not (isinstance(node.operand, Neg) or _precedence(node.operand) == 5):
             inner = f"({inner})"
         return f"-{inner}"
-    raise TypeError(f"not an expression node: {node!r}")
+    _, level, _, text = _operator(node)
+    return f"{_wrap(node.left, level)}{text}{_wrap(node.right, level, True)}"

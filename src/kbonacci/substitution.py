@@ -23,8 +23,8 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from typing import Iterator, Optional
+from itertools import combinations_with_replacement, permutations
+from typing import Optional
 
 from . import _exact
 from .errors import NonIntegralCoefficientsError, RuleFormatError
@@ -77,16 +77,6 @@ def _natural_lambdas(coeffs: CoefficientVector) -> list[int]:
     return lams
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # All tuples of nonnegative ints summing to total, lexicographic order.
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 def enumerate_rules(coeffs: CoefficientVector) -> list[SubstitutionRule]:
     """All rules for the coefficient vector, ordered by (permutation, composition).
 
@@ -103,8 +93,11 @@ def enumerate_rules(coeffs: CoefficientVector) -> list[SubstitutionRule]:
     rules = []
     for perm in permutations(letters[1:]):
         slots = (*perm, "")
-        for comp in _compositions(lams[0], k):
-            head = "".join("A" * l + letter for l, letter in zip(comp, slots))
+        # Stars and bars: the runs of A are the gaps between k - 1 cuts in
+        # 0..lambda_1, and cuts in lexicographic order give the runs in it.
+        for cuts in combinations_with_replacement(range(lams[0] + 1), k - 1):
+            runs = (b - a for a, b in zip((0, *cuts), (*cuts, lams[0])))
+            head = "".join("A" * l + letter for l, letter in zip(runs, slots))
             rules.append(SubstitutionRule(letters, (head, *tail)))
     return rules
 

@@ -527,6 +527,24 @@ class TestNonlinear:
         with pytest.raises(TypeError):
             GHASpec(functions=(AffineFunction(F(1)),), vacuum=(0.1,))
 
+    @pytest.mark.parametrize(
+        "functions,vacuum,arithmetic,error",
+        [
+            ((), (), "exact", "need at least one level function"),
+            ((AffineFunction(F(1)),), (F(1), F(0)), "exact", "vacuum must have 1 entries, got 2"),
+            ((AffineFunction(F(1)),), (F(1),), "float32", "arithmetic must be 'exact' or 'float64'"),
+        ],
+        ids=["no-functions", "vacuum-length", "arithmetic"],
+    )
+    def test_malformed_spec_refused(self, functions, vacuum, arithmetic, error):
+        with pytest.raises(ValueError, match=error):
+            GHASpec(functions=functions, vacuum=vacuum, arithmetic=arithmetic)
+
+    def test_negative_level_count_refused(self):
+        spec = GHASpec(functions=(AffineFunction(F(1)),), vacuum=(F(1),))
+        with pytest.raises(ValueError, match="n_max must be >= 0"):
+            spectrum(spec, -1)
+
     def test_affine_forms_stored(self):
         fns = (ExpressionFunction(parse("2*x + 1/2")), ExpressionFunction(parse("x^2")))
         spec = GHASpec(functions=fns, vacuum=(F(1), F(0)), arithmetic="float64")

@@ -265,6 +265,23 @@ class TestSpecFileErrors:
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "payload,error",
+        [
+            ([1, 2], "spec file: top level must be a JSON object"),
+            ({"k": 1, "functions": "x", "vacuum": ["0"], "n_max": 3},
+             "field 'functions': must be a list of 1 expressions"),
+            ({"k": 1, "functions": [1], "vacuum": ["0"], "n_max": 3},
+             "functions[0]: must be an expression string"),
+        ],
+        ids=["top-level-list", "functions-not-a-list", "function-not-a-string"],
+    )
+    def test_malformed_spec_exits_1(self, tmp_path, capsys, payload, error):
+        assert main(["spectrum", write_spec(tmp_path, payload)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {error}\n"
+
     def test_unknown_field(self, tmp_path, capsys):
         data = dict(SPEC_212, extra=1)
         assert main(["spectrum", write_spec(tmp_path, data)]) == 1

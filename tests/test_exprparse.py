@@ -121,6 +121,11 @@ class TestParse:
             parse("x^2^3")
         with pytest.raises(ExpressionSyntaxError):
             parse("x^1.5")
+        for literal in ("2.0", "0.0"):
+            with pytest.raises(ExpressionSyntaxError) as err:
+                parse(f"x^{literal}")
+            assert str(err.value) == f"unexpected '{literal}' at offset 2"
+            assert err.value.expected == ("unsigned integer",)
 
     @pytest.mark.parametrize("text,offset", [("x^²", 2), ("²", 0), ("x + 1²", 5), ("1.²", 2)])
     def test_non_decimal_digits_refused(self, text, offset):
@@ -131,6 +136,34 @@ class TestParse:
 
     def test_decimal_digits_of_any_script(self):
         assert parse("\u0663*x^\u0662") == Mul(Const(F(3)), Pow(Var(), 2))
+
+    # The token pattern's space and digits are str.isspace and str.isdecimal
+    # on every interpreter: space is skipped, the decimal digits of any
+    # script are read, and other numeric characters are refused.
+    @pytest.mark.parametrize(
+        "char,tree",
+        [
+            ("\u00a0", Mul(Var(), Const(F(2)))),
+            ("\u2003", Mul(Var(), Const(F(2)))),
+            ("\x1c", Mul(Var(), Const(F(2)))),
+            ("\u0663", Mul(Var(), Const(F(32)))),
+            ("\uff11", Mul(Var(), Const(F(12)))),
+            ("\U0001d7d8", Mul(Var(), Const(F(2)))),
+            ("\u00b2", None),
+            ("\u00bd", None),
+            ("\u216b", None),
+        ],
+        ids=["nbsp", "em-space", "file-separator", "arabic-indic-three", "fullwidth-one",
+             "mathematical-zero", "superscript-two", "one-half", "roman-twelve"],
+    )
+    def test_unicode_space_and_digits(self, char, tree):
+        text = f"x*{char}2"
+        if tree is not None:
+            assert parse(text) == tree
+            return
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character {char!r} at offset 2"
 
 
 class TestPowerBound:
@@ -262,7 +295,7 @@ class TestAffine:
     def test_affine_forms(self, text, expected):
         assert as_affine(parse(text)) == expected
 
-    @pytest.mark.parametrize("text", ["x^2", "x*x", "x/x", "1/x", "x/0"])
+    @pytest.mark.parametrize("text", ["x^2", "x*x", "x/x", "1/x", "x/0", "(x*x)^0", "(1/x)^1"])
     def test_non_affine(self, text):
         assert as_affine(parse(text)) is None
 

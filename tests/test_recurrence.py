@@ -33,7 +33,7 @@ from kbonacci import (
     miles_number,
 )
 from kbonacci.cli import main
-from kbonacci.recurrence import _miles_sums
+from kbonacci.recurrence import SeedState, _miles_sums
 
 
 def fib_setup():
@@ -144,6 +144,11 @@ class TestSeeds:
         c = CoefficientVector((F(1), F(1)))
         with pytest.raises(OrderMismatchError):
             extend_seeds(c, F(1), (F(0), F(0)))
+
+    def test_window_length_must_match(self):
+        c, _ = fib_setup()
+        with pytest.raises(OrderMismatchError):
+            iterate_sequence(c, SeedState(F(1)), 3)
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):

@@ -422,6 +422,21 @@ class TestRatioLimit:
             ratio_limit_check(c, seeds, 30)
 
     @pytest.mark.parametrize(
+        "lams,seed_vals,n_max,error",
+        [
+            ((-1, -1), (1, 0), 10, "is not real positive"),
+            ((1, -1, 1), (1, 0, 0), 10, "dominant root is not strictly separated in modulus"),
+            ((1, 2), (2, -2), 1, "alpha_1 = 0; ratio undefined"),
+        ],
+        ids=["dominant-not-real-positive", "dominant-not-separated", "zero-denominator"],
+    )
+    def test_no_ratio_limit(self, lams, seed_vals, n_max, error):
+        c = coeffs_of(*lams)
+        seeds = extend_seeds(c, F(seed_vals[0]), tuple(map(F, seed_vals[1:])))
+        with pytest.raises(ComputationError, match=error):
+            ratio_limit_check(c, seeds, n_max)
+
+    @pytest.mark.parametrize(
         "lams,seed_vals,error",
         [
             ((1, 1), (10**400, 0), "seed value at n=0"),
