@@ -54,7 +54,7 @@ from .errors import (
 from .exprparse import parse as parse_expr
 from .recurrence import (
     CoefficientVector,
-    _miles_sums,
+    energy_from_miles,
     extend_seeds,
     iterate_sequence,
     matrix_sequence,
@@ -319,9 +319,11 @@ def _values(method: str, coeffs: CoefficientVector, seeds, n: int, args) -> list
     """alpha_0..alpha_n by method, run in _EXACT: the library's integer
     kernels on Decimals for direct and matrix when every coefficient and
     seed window value is an integer, else the library's Fraction routes.
-    Miles' column is one table of partial sums, built bottom-up over the
-    states that the targets 0..n reach (see recurrence._miles_sums), and is
-    returned as Decimals too, so that --check subtracts like types."""
+    Miles' column is energy_from_miles per target: Miles' binomial sum,
+    walked by term ratios, at k = 2, where it is faster, and the closed
+    form from the compositions' generating function for k >= 3 (see
+    recurrence.miles_number). It is returned as Decimals too, so that
+    --check subtracts like types."""
     inputs = (*coeffs.values, *seeds.extended)
     if method in ("direct", "matrix") and all(x.denominator == 1 for x in inputs):
         ints = [Decimal(x.numerator) for x in inputs]
@@ -339,8 +341,7 @@ def _values(method: str, coeffs: CoefficientVector, seeds, n: int, args) -> list
                 "miles requires unit coefficients (all lambda_i = 1, k >= 2) "
                 "and the unit vacuum seed (1, 0, ..., 0)"
             )
-        # E_m = F_{m+k-1}^(k), the whole column from one bottom-up table
-        return [Decimal(v) for v in _miles_sums(coeffs.k, 0, n)]
+        return [Decimal(energy_from_miles(coeffs.k, t)) for t in range(n + 1)]
     roots = spectral.find_roots(spectral.char_poly(coeffs), tol=args.tol, max_iter=args.max_iter)
     modes = spectral.binet_form(coeffs, seeds, roots)
     return [spectral.binet_eval(modes, roots, m) for m in range(n + 1)]

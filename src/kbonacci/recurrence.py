@@ -28,14 +28,14 @@ divided back once, after the part of q^n that its denominator provably
 lacks over the same coprime base is divided out (see
 _exact.rational_companion_power). matrix_sequence stays on Fractions for
 non-integral coefficients, an independent route to check iteration
-against. Miles' sum tabulates its partial sums bottom-up, one weight at a
-time, over only the states (parts placed, weight left) that its targets
-reach; each term comes from the one before it by a ratio of small ints,
-with no comb per inner term and no recursion (see _miles_sums and
-miles_number), and the recurrence is never used. The iteration and
-companion loops themselves are _exact.iterate and _exact.companion_sequence,
-which use only exact +, - and *: the command line runs them on
-decimal.Decimal to print integer values in linear time.
+against. Miles' numbers never use the recurrence: at k = 2 they are
+Miles' sum of binomials comb(t - a, a), walked by term ratios, and for
+k >= 3 an alternating sum of t // (k+1) + 1 terms read off the
+compositions' generating function (1 - x)/(1 - 2x + x^(k+1)); k = 2 keeps
+the walk because the closed form is slower there (see miles_number). The
+iteration and companion loops themselves are _exact.iterate and
+_exact.companion_sequence, which use only exact +, - and *: the command
+line runs them on decimal.Decimal to print integer values in linear time.
 """
 
 from __future__ import annotations
@@ -171,76 +171,54 @@ def matrix_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) -> 
     return ExactSequence(_exact.fractions(values, d))
 
 
-def _miles_sums(k: int, lo: int, hi: int) -> list[int]:
-    """[F_{t+k-1}^(k) for t = lo..hi] by Miles' sum (see miles_number).
-
-    Bottom-up, weight by weight from w = 2 to k: a table holds, for each
-    state (s, r) of s parts placed at weights above w and weight r still
-    to place, the sum over the weights w..1 that remain,
-
-        sum_w(s, r) = sum over a of comb(s + a, a) * sum_{w-1}(s + a, r - a w),
-
-    so F_{t+k-1}^(k) = sum_k(0, t). A target t reaches (s, r) only if
-    (w + 1) s <= t - r <= k s: row s holds r = max(0, lo - k s) to
-    hi - (w + 1) s, after zeros that no later weight reads, and weight k
-    has row 0 alone. Two tables are alive at a time. No part fits at a
-    weight above hi, so the weights stop at max(2, hi) where k is larger.
-    """
-    k = min(k, max(2, hi))
-
-    def spans(w: int):
-        count = 1 if w == k else hi // (w + 1) + 1
-        return [range(max(0, lo - k * s), hi - (w + 1) * s + 1) for s in range(count)]
-
-    below = []
-    for s, rs in enumerate(spans(2)):
-        row = [0] * rs.start
-        for r in rs:
-            # term_a = C(s+a, a) C(n-a, K), n = s + r, K = r - 2a
-            n = s + r
-            term = value = comb(n, r)
-            for a in range(r // 2):
-                K = r - 2 * a
-                term = term * (K * (K - 1)) // ((a + 1) * (n - a))
-                value += term
-            row.append(value)
-        below.append(row)
-    for w in range(3, k + 1):
-        table = []
-        for s, rs in enumerate(spans(w)):
-            row = [0] * rs.start
-            for r in rs:
-                # c = C(s + a, a), from C(s + a - 1, a - 1), exactly
-                c = 1
-                value = below[s][r]
-                for a in range(1, r // w + 1):
-                    c = c * (s + a) // a
-                    value += c * below[s + a][r - a * w]
-                row.append(value)
-            table.append(row)
-        below = table
-    return below[0][lo:]
+def _miles(k: int, t: int) -> int:
+    """F_{t+k-1}^(k), k >= 2 and t >= 0, by the identity miles_number
+    names for k."""
+    if k == 2:
+        # term a is comb(t - a, a); the quotient is the next one, so // is exact
+        term = value = 1
+        for a in range(t // 2):
+            K = t - 2 * a
+            term = term * (K * (K - 1)) // ((a + 1) * (t - a))
+            value += term
+        return value
+    if t == 0:
+        return 1
+    top = t // (k + 1)
+    acc = 1
+    for j in range(1, top + 1):
+        n = t - j * k
+        term = comb(n, j) + comb(n - 1, j - 1)
+        acc = (acc << (k + 1)) + (-term if j % 2 else term)
+    return (acc << (t - top * (k + 1))) >> 1
 
 
 def miles_number(k: int, m: int) -> int:
-    """k-generalized Fibonacci number F_m^(k) by the multinomial sum.
+    """k-generalized Fibonacci number F_m^(k), without the recurrence.
 
-    F_m^(k) = sum over a_1 + 2 a_2 + ... + k a_k = m - k + 1 of
-    (a_1 + ... + a_k)! / (a_1! ... a_k!). The multinomial factor is a
-    product of binomials comb(a_k + ... + a_j, a_j), j = k..1, so no full
-    factorials are formed. The partial sums below each weight are tabulated
-    once, bottom-up over the states (s parts placed above j, r weight left)
-    that the target reaches, with no recursion (see _miles_sums).
+    F_m^(k) counts the compositions of t = m - k + 1 into parts <= k
+    (Miles 1960): the sum over a_1 + 2 a_2 + ... + k a_k = t of
+    (a_1 + ... + a_k)! / (a_1! ... a_k!).
 
-    No comb is taken per inner term. At j = 2 the sum over a_2 is
-    hypergeometric: with n = s + r and K = r - 2 a_2, its term is
-    (n - a_2)! / (a_2! s! K!), and the next term is this one times
-    K (K - 1) / ((a_2 + 1) (n - a_2)), starting from comb(n, r). At j >= 3
-    the factor comb(s + a_j, a_j) is carried along the loop as
-    c * (s + a_j) // a_j. Both products are formed before the division, and
-    its quotient is the next term or binomial, an integer, so each // is
-    exact. This regroups the same multinomial terms: the value never comes
-    from the recurrence, so it stays an independent check of iteration.
+    k = 2: Miles' sum itself, sum over a of comb(t - a, a). Each term is
+    the one before it times K (K - 1) / ((a + 1) (t - a)), K = t - 2 a,
+    starting from 1; the product is formed before the division and the
+    quotient is the next binomial, so each // is exact.
+
+    k >= 3: the coefficient of x^t in the compositions' generating
+    function (1 - x)/(1 - 2x + x^(k+1)) (Flajolet and Sedgewick,
+    Analytic Combinatorics, ch. I). For t >= 1,
+
+        2 F = sum_{j=0}^{t // (k+1)} (-1)^j
+              [comb(t - jk, j) + comb(t - jk - 1, j - 1)] 2^(t - j(k+1)),
+
+    summed by Horner's rule in 2^(k+1), one comb pair per term, and
+    halved exactly; F = 1 at t = 0.
+
+    k = 2 keeps the walk: there the closed form has t/3 + 1 terms, and
+    their comb pairs of numbers up to t bits make it several times slower
+    from t of a few hundred on. Neither identity runs the recurrence, so
+    the value stays an independent check of iteration.
 
     Requires k >= 2 and m >= k - 1 (DomainError otherwise).
     """
@@ -249,7 +227,7 @@ def miles_number(k: int, m: int) -> int:
     target = m - k + 1
     if target < 0:
         raise DomainError(f"m must be >= k - 1, got m={m} for k={k}")
-    return _miles_sums(k, target, target)[0]
+    return _miles(k, target)
 
 
 def energy_from_miles(k: int, n: int) -> int:

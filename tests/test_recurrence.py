@@ -33,7 +33,7 @@ from kbonacci import (
     miles_number,
 )
 from kbonacci.cli import main
-from kbonacci.recurrence import SeedState, _miles_sums
+from kbonacci.recurrence import SeedState
 
 
 def fib_setup():
@@ -219,31 +219,33 @@ class TestMiles:
                 assert miles_number(k, t + k - 1) == expected, (k, t)
 
     def test_multinomial_oracle(self):
-        # the same multinomial terms, each from factorials: a wrong ratio in
-        # the weight-2 walk or a wrong carried binomial changes the sum
-        for k in range(2, 7):
+        # Miles' sum term by term, each term from factorials: checks the
+        # weight-2 walk at k = 2 and the closed form at k = 3..10
+        for k in range(2, 11):
             for t in range(25):
                 assert miles_number(k, t + k - 1) == multinomial_sum(k, t), (k, t)
 
-    @pytest.mark.parametrize("k,m", [(2, 600), (3, 200), (4, 122), (5, 102), (6, 100), (7, 100)])
+    @pytest.mark.parametrize(
+        "k,m",
+        [(2, 600), (3, 200), (4, 122), (5, 102), (6, 100), (7, 100), (7, 400), (300, 599), (600, 1199)],
+    )
     def test_composition_dp_oracle_large(self, k, m):
         # the benchmark's sizes and past them: weight-2 walks of up to 300
-        # ratio steps, and memoised partial sums reused most
+        # ratio steps, a closed form of 50 terms, and k = t, where only its
+        # j = 0 term is left
         assert miles_number(k, m) == composition_count(k, m - k + 1)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_cli_column_equals_per_call(self, k, capsys):
-        # the command line takes the whole column t = 0..60 from one table;
-        # each miles_number call builds a table for its target alone
+        # the command line's Decimal column, row by row, against the library
         coeffs = ",".join(["1"] * k)
         assert main(["sequence", "--coeffs", coeffs, "-n", "60", "--method", "miles", "--format", "csv"]) == 0
         rows = capsys.readouterr().out.split()[1:]
         assert rows == [f"{n},{miles_number(k, n + k - 1)}" for n in range(61)]
 
     def test_order_past_the_recursion_limit(self, capsys):
-        # an order far above the default recursion limit: the tables go up
-        # one weight at a time, and stop at weight max(2, n), as no part fits
-        # above n
+        # an order far above the default recursion limit, and n < k, where
+        # the closed form is the single power 2^(n-1)
         k = 1100
         c = CoefficientVector((F(1),) * k)
         s = extend_seeds(c, F(1), (F(0),) * (k - 1))
@@ -275,21 +277,14 @@ class TestMiles:
         assert lines[0] == "True"
         assert lines[-2:] == ["max discrepancy vs direct: 0", "0"]
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        k=st.integers(min_value=2, max_value=8),
-        lo=st.integers(min_value=0, max_value=150),
-        width=st.integers(min_value=0, max_value=150),
-    )
-    def test_window_equals_per_call_and_iteration(self, k, lo, width):
-        # windows with lo > 0 reach fewer states than either caller's
-        hi = min(lo + width, 150)
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(min_value=2, max_value=40), t=st.integers(min_value=0, max_value=300))
+    def test_equals_unit_iteration(self, k, t):
+        # both branches and Horner sums of 1 to 76 terms, against the
+        # recurrence from the unit vacuum
         c = CoefficientVector((F(1),) * k)
         s = extend_seeds(c, F(1), (F(0),) * (k - 1))
-        direct = iterate_sequence(c, s, hi).values
-        window = _miles_sums(k, lo, hi)
-        assert window == [miles_number(k, t + k - 1) for t in range(lo, hi + 1)]
-        assert window == list(direct[lo:])
+        assert miles_number(k, t + k - 1) == iterate_sequence(c, s, t).values[t]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
