@@ -16,9 +16,13 @@ with no gcd of long values. Companion powers are polynomial powers
 (Fiduccia 1985, SIAM J. Comput. 14(1)), k^2 products per squaring against
 k^3 for a matrix product; they run on ints for any coefficients, for
 x = y/q, q the lcm of the coefficient denominators
-(rational_companion_power), and each result is divided back once. Every
-such reduced pair becomes a Fraction in _written, the one writer of
-Fraction slots here, with neither a gcd nor Fraction's argument dispatch.
+(rational_companion_power), and each result is divided back once. An
+affine recurrence, the energies of an exact spectrum, runs on iterate or
+rational_recurrence after one differencing takes its constant away
+(affine_recurrence), and affine_column maps a column x to a x + b in int
+maps on the Fraction slots. Every such reduced pair becomes a Fraction in
+_written, the one writer of Fraction slots here, with neither a gcd nor
+Fraction's argument dispatch.
 iterate and companion_sequence, the recurrence's two routes, and mat_vec
 use only exact +, - and *, so they also run unchanged on decimal.Decimal in
 an exact context, as the command line does for integer values. squarefree
@@ -31,9 +35,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, count, repeat
 from math import ceil, gcd, lcm, prod
-from operator import add, floordiv, sub
+from operator import add, attrgetter, floordiv, ge, mul, sub, truediv
 
 
 # The largest |e| of a literal such as "1e400": Fraction builds 10^|e|
@@ -71,6 +75,8 @@ def same_arithmetic(coefficients, *groups):
 _new = object.__new__
 _set_numerator = Fraction._numerator.__set__
 _set_denominator = Fraction._denominator.__set__
+_numerators = attrgetter("_numerator")
+_denominators = attrgetter("_denominator")
 
 
 def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
@@ -84,6 +90,47 @@ def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
         return _written(values, repeat(1), len(values))
     g = list(map(gcd, values, repeat(d)))
     return _written(map(floordiv, values, g), map(floordiv, repeat(d), g), len(values))
+
+
+def affine_column(a, b, values, d: int = 1) -> tuple[Fraction, ...]:
+    """(a x + b) / d for each x of values as a tuple of Fractions, a, b and
+    values of one of same_arithmetic's two kinds. Ints are divided by d in
+    fractions. For Fractions and a != 0, a x + b is reduced in int maps on
+    the slots, as Fraction's own product and sum reduce it, and the pairs
+    are written by _written: x = p/q times a = s/t is
+    ((s/g) p / h) / ((t/h) q / g), g = gcd(s, q) and h = gcd(p, t), each
+    step skipped where s or t is 1, and adding b = u/w is Henrici's sum,
+    or p + u q over q where w = 1."""
+    if not values or type(values[0]) is not Fraction or not a:
+        return fractions([a * x + b for x in values], d)
+    s, t = a.numerator, a.denominator
+    p, q = list(map(_numerators, values)), list(map(_denominators, values))
+    if s != 1:
+        g = list(map(gcd, repeat(s), q))
+        p = list(map(mul, map(floordiv, repeat(s), g), p))
+        q = list(map(floordiv, q, g))
+    if t != 1:
+        h = list(map(gcd, p, repeat(t)))
+        p = list(map(floordiv, p, h))
+        q = list(map(mul, map(floordiv, repeat(t), h), q))
+    u, w = b.numerator, b.denominator
+    if w == 1:
+        p = list(map(add, p, map(mul, repeat(u), q))) if u else p
+    else:
+        g = list(map(gcd, q, repeat(w)))
+        q = list(map(floordiv, q, g))
+        p = list(map(add, map(mul, p, map(floordiv, repeat(w), g)), map(mul, repeat(u), q)))
+        h = list(map(gcd, p, g))
+        p = list(map(floordiv, p, h))
+        q = list(map(mul, q, map(floordiv, repeat(w), h)))
+    return _written(p, q, len(values))
+
+
+def floats(values) -> list[float]:
+    """Fractions as correctly rounded floats, each by the int division of
+    its slots, as float(Fraction) does; OverflowError where one is beyond
+    the float range."""
+    return list(map(truediv, map(_numerators, values), map(_denominators, values)))
 
 
 def _written(numerators, denominators, size: int) -> tuple[Fraction, ...]:
@@ -101,11 +148,21 @@ def _written(numerators, denominators, size: int) -> tuple[Fraction, ...]:
 
 
 def _strip(x: int, b: int) -> tuple[int, int]:
-    """(x / b^v, v) for x != 0, b^v the largest power of b dividing x."""
+    """(x / b^v, v) for x != 0 and b >= 2, b^v the largest power of b
+    dividing x: the powers b^(2^j) that divide x are found by squaring,
+    then divided out greedily from the largest, so v costs O(log v) long
+    divisions, not v."""
+    powers = []
+    p = b
+    while x % p == 0:
+        powers.append(p)
+        p *= p
     v = 0
-    while x % b == 0:
-        x //= b
-        v += 1
+    for j in reversed(range(len(powers))):
+        q, r = divmod(x, powers[j])
+        if not r:
+            x = q
+            v += 1 << j
     return x, v
 
 
@@ -113,10 +170,15 @@ def coprime_base(numbers) -> list[int]:
     """Pairwise coprime integers > 1 of which each of numbers (all >= 1) is
     a product of powers, by splitting on gcds (factor refinement, Bach,
     Driscoll and Shallit 1993, J. Algorithms 15): no factoring, so a large
-    denominator with no known factors costs a few gcds."""
-    base, pending = [], list(numbers)
+    denominator with no known factors costs a few gcds. The smallest
+    numbers come first, and each number is rid of the whole powers of the
+    base so far before it is split: a long product of powers of small
+    elements then costs one _strip per element."""
+    base, pending = [], sorted(numbers, reverse=True)
     while pending:
         x = pending.pop()
+        for b in base:
+            x = _strip(x, b)[0]
         if x == 1:
             continue
         for j, b in enumerate(base):
@@ -133,7 +195,7 @@ def coprime_base(numbers) -> list[int]:
 def rational_recurrence(lams, window, n: int) -> tuple[Fraction, ...]:
     """alpha_0..alpha_n of alpha_{m+1} = sum_i lams[i] alpha_{m-i} as
     reduced Fractions, from the window (alpha_{-(k-1)}, ..., alpha_0); lams
-    and window hold Fractions.
+    and window hold Fractions. A zero coefficient's term is skipped.
 
     Every denominator is a product of powers of B, a coprime base of the
     input denominators. A value is held as its numerator and denominator,
@@ -185,8 +247,11 @@ def _recurrence_over(base, lams, window, n: int) -> tuple[Fraction, ...] | int:
     def power(a):
         return prod(b**ab for b, ab in zip(base, a))
 
-    terms = []  # (L_i, u_i)
+    terms = []  # (L_i, u_i), None for a zero coefficient, which no step reads
     for lam in lams:
+        if not lam:
+            terms.append(None)
+            continue
         L, up = split(lam.numerator)
         terms.append((L, tuple(map(sub, up, split(lam.denominator)[1]))))
     k = len(lams)
@@ -200,17 +265,20 @@ def _recurrence_over(base, lams, window, n: int) -> tuple[Fraction, ...] | int:
 
     def shape_of():
         """(step data, top) for the window, top the exponents of its newest
-        nonzero entry; (None, None) when every entry is zero.
+        nonzero entry; (None, None) when no nonzero entry has a nonzero
+        coefficient, so that the next value is 0.
 
         The shape is the exponents relative to top, rel_i = e_i - top,
-        newest first. With dE = max_i(rel_i - u_i), the multipliers are
-        m_i = L_i prod b^(dE - rel_i + u_i) of the nonzero entries. The
-        step data are the newest nonzero entry's index, m_i and m_i mod M,
-        the (index, m_i, m_i mod M) of the others, dE, whether dE has a
-        negative component, prod b^dE split as b^+dE / b^-dE (D is that
-        times the newest entry's denominator), and the next shapes by
-        division counts. E = top + dE unless a component is negative, where
-        every term is a multiple of b: E_b is then 0.
+        newest first. The terms are the nonzero entries with nonzero
+        coefficients. With dE = max_i(rel_i - u_i) over the terms, their
+        multipliers are m_i = L_i prod b^(dE - rel_i + u_i). The step data
+        are the first term's index, m_i and m_i mod M, the
+        (index, m_i, m_i mod M) of the other terms, dE, whether dE has a
+        negative component, the newest nonzero entry's index, prod b^dE
+        split as b^+dE / b^-dE (D is that times the newest nonzero entry's
+        denominator), and the next shapes by division counts. E = top + dE
+        unless a component is negative, where every term is a multiple of
+        b: E_b is then 0.
         """
         top = next((e for e in reversed(exponents) if e is not None), None)
         if top is None:
@@ -219,10 +287,12 @@ def _recurrence_over(base, lams, window, n: int) -> tuple[Fraction, ...] | int:
         step = shapes.get(key)
         if step is None:
             live = [
-                (-1 - i, L, tuple(map(sub, rel, u)))
-                for i, (rel, (L, u)) in enumerate(zip(key, terms))
-                if rel is not None
+                (-1 - i, term[0], tuple(map(sub, rel, term[1])))
+                for i, (rel, term) in enumerate(zip(key, terms))
+                if rel is not None and term is not None
             ]
+            if not live:
+                return None, None
             dE = tuple(max(c) for c in zip(*(s for _, _, s in live)))
             multipliers = []
             for i, L, s in live:
@@ -236,6 +306,7 @@ def _recurrence_over(base, lams, window, n: int) -> tuple[Fraction, ...] | int:
                 tuple(rest),
                 dE,
                 min(dE, default=0) < 0,
+                -1 - next(i for i, rel in enumerate(key) if rel is not None),
                 power(max(d, 0) for d in dE),
                 power(max(-d, 0) for d in dE),
                 {},
@@ -247,7 +318,7 @@ def _recurrence_over(base, lams, window, n: int) -> tuple[Fraction, ...] | int:
     for _ in range(n):
         X = 0
         if step:
-            first, m, r, rest, dE, clips, times, over, follow = step
+            first, m, r, rest, dE, clips, newest, times, over, follow = step
             X = m * numerators[first]
             R = r * residues[first]
             for i, m, r in rest:
@@ -269,7 +340,7 @@ def _recurrence_over(base, lams, window, n: int) -> tuple[Fraction, ...] | int:
             E = tuple(max(x, 0) for x in E)
             D, q = power(E), 1
         else:
-            D, q = denominators[first] * times, over
+            D, q = denominators[newest] * times, over
         R %= modulus
         counts = no_divisions
         if gcd(R, modulus) != 1:  # X shares a factor with B: divide out those of D
@@ -404,13 +475,14 @@ def iterate(lams, window: list, n: int) -> list:
     window list (alpha_{-(k-1)}, ..., alpha_0), which it extends in place.
     A step adds the terms of coefficient +1, subtracts those of -1 and
     multiplies only by the other coefficients, reading its k terms by index
-    from the growing list. A sum starts from a value or from int 0, never
-    from a product, so on Decimals no value is -0 (Decimal(-2) * 0 is)."""
+    from the growing list; a zero coefficient's term is skipped. A sum
+    starts from a value or from int 0, never from a product, so on Decimals
+    no value is -0 (Decimal(-2) * 0 is)."""
     # values holds alpha_{-(k-1)}..alpha_m, so alpha_{m-i+1} is values[-i].
     values = window
     plus = [-i for i, c in enumerate(lams, 1) if c == 1]
     minus = [-i for i, c in enumerate(lams, 1) if c == -1]
-    scaled = [(-i, c) for i, c in enumerate(lams, 1) if c not in (1, -1)]
+    scaled = [(-i, c) for i, c in enumerate(lams, 1) if c not in (0, 1, -1)]
     first = plus.pop() if plus else 0  # a +1 term starts the sum, saving an addition to 0
     for _ in range(n):
         nxt = values[first] if first else 0
@@ -423,6 +495,49 @@ def iterate(lams, window: list, n: int) -> list:
         values.append(nxt)
     del values[: len(lams) - 1]
     return values
+
+
+def affine_recurrence(lams, c, values: list, length: int, bound: int) -> list:
+    """values extended in place to length terms of
+    alpha_{m+1} = sum_i lams[i] alpha_{m-i} + c, all ints or all Fractions
+    as same_arithmetic gives them, and returned; cut after the first term
+    >= bound where one comes sooner.
+
+    The run continues from the last k = len(lams) terms when c = 0. Else
+    it continues from the last k + 1, the last of which must follow the
+    recurrence from the k before it, on the differenced recurrence
+    alpha_{m+1} = (1 + lams[0]) alpha_m
+                  + sum_{i=1}^{k-1} (lams[i] - lams[i-1]) alpha_{m-i}
+                  - lams[k-1] alpha_{m-k},
+    which has no constant and keeps integral coefficients integral. Int
+    coefficients run on iterate and Fractions on rational_recurrence, in
+    chunks that double from 1024 terms, each from the last window: a run cut
+    by bound computes at most 1024 terms or about twice the terms it keeps."""
+    if c:
+        lams = [1 + lams[0], *map(sub, lams[1:], lams), -lams[-1]]
+    kernel = rational_recurrence if type(lams[0]) is Fraction else iterate
+    size, new = 1024, values
+    while (cut := _first_at_least(new, bound)) is None:
+        if len(values) >= length:
+            return values
+        new = kernel(lams, values[-len(lams) :], min(size, length - len(values)))[1:]
+        values += new
+        size *= 2
+    del values[len(values) - len(new) + cut + 1 :]
+    return values
+
+
+def _first_at_least(values, bound: int):
+    """The index of the first of values >= bound, an int > 0, or None.
+    A Fraction p/q >= bound has bit lengths with
+    len(p) - len(q) >= len(bound) - 1, an int test on its slots, and only
+    such Fractions are compared exactly."""
+    if values and type(values[0]) is Fraction:
+        tops = map(int.bit_length, map(_numerators, values))
+        spans = map(sub, tops, map(int.bit_length, map(_denominators, values)))
+        near = compress(count(), map(ge, spans, repeat(bound.bit_length() - 1)))
+        return next((i for i in near if values[i] >= bound), None)
+    return next(compress(count(), map(ge, values, repeat(bound))), None)
 
 
 def companion_sequence(lams, window: list, n: int) -> list:

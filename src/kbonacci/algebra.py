@@ -12,8 +12,7 @@ An algebra spec is k level functions (f_1, ..., f_k) plus k vacuum values
 By the first recursion each step of the third adds
 alpha_{n+1}^(1) - alpha_n^(1), so the sum telescopes to
 N_n^2 = alpha_{n+1}^(1) - alpha_0^(1): the norms are the energy sequence
-shifted by one level, and spectrum() evaluates each level function once
-per level.
+shifted by one level.
 
 When every level function is purely linear, negative-index arguments of the
 second recursion come from the recurrence's seed window (extend_seeds:
@@ -27,12 +26,16 @@ affine function runs as slope * x + offset in floats and any other one is
 compiled once per call (exprparse.float_evaluator), with the values of
 evaluate at a float argument.
 
-spectrum() reads the one recurrence three ways in one pass over the levels,
-the same loop for both modes: it appends each energy alpha_{n+1}^(1) and
-the ladder values alpha_n^(i) to columns, and N_n^2 is the energy column
-less alpha_0^(1). The first-failure levels of the physicality conditions
-come from scans of the energy and N^2 columns afterwards, and each exact
-column becomes Fractions once.
+spectrum() reads the one recurrence three ways: the energies
+alpha_{n+1}^(1) make a column, the ladder values are read off it, and
+N_n^2 is the energy column less alpha_0^(1). A float64 pass evaluates each
+level function once per level. An exact spec is affine, so its pass stops
+after level k - 1, from where every ladder is live and the energies are
+one affine recurrence, continued by an _exact kernel
+(_exact.affine_recurrence); a ladder with slope 1 and offset 0 is the
+energy column itself, the same Fractions. The first-failure levels of the
+physicality conditions come from scans of the energy and N^2 columns
+afterwards, and each exact column becomes Fractions once.
 
 A truncation to the first dim Fock levels is its spectrum table, the
 bands of its operators: H and the J_i are diagonal and the raising operator
@@ -48,7 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, count, repeat
-from operator import add, lt
+from operator import add, le, lt
 from typing import Callable, NamedTuple, Optional, Union
 
 from . import _exact
@@ -260,6 +263,21 @@ def _first(flags, start: int = 0) -> Optional[int]:
     return next(compress(count(start), flags), None)
 
 
+def _first_decrease(energy) -> Optional[int]:
+    """The first level n >= 1 with energy[n] < energy[n-1]; None when there
+    is none. Fractions are compared as floats first: rounding is monotonic,
+    so a pair whose floats increase does not decrease, and only the other
+    pairs are compared exactly."""
+    if not energy or type(energy[0]) is not Fraction:
+        return _first(map(lt, energy[1:], energy), 1)
+    try:
+        rounded = _exact.floats(energy)
+    except OverflowError:
+        rounded = energy
+    candidates = compress(count(1), map(le, rounded[1:], rounded))
+    return next((n for n in candidates if energy[n] < energy[n - 1]), None)
+
+
 def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     """Levels 0..n_max of the Fock spectrum with physicality levels.
 
@@ -269,15 +287,19 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     when nsq < 0). ComputationError names the level where a float64 value
     overflows or is not finite, or where a norm is beyond the float64 range.
 
-    One pass over the levels appends alpha_{n+1}^(1) and the ladder values
-    of level n to columns: exact specs run on the ints (or, with
-    non-integral slopes, the Fractions) that _exact.same_arithmetic gives,
-    float64 specs on floats, in the same loop. A float64 level is checked
-    as it is computed, so an error names its level; an exact pass stops
-    early only where a norm is certain to overflow. The first-failure levels
-    are then found by scanning the energy and N^2 columns, the norms are
-    taken from the loop's N^2 values, then each exact column becomes
-    Fractions once, and the rows are built from the columns.
+    A pass over the levels appends alpha_{n+1}^(1) and the ladder values
+    of level n to columns. A float64 pass runs every level and checks each
+    as it is computed, so an error names its level. An exact pass runs
+    levels 0..k-1 only, on the ints (or, with non-integral slopes, the
+    Fractions) that _exact.same_arithmetic gives: from level k - 1 on every
+    ladder is live, so the energies are one affine recurrence, which
+    _exact.affine_recurrence continues, cut at a level whose norm is certain
+    to overflow. The ladder values of the later levels are
+    a_i alpha_{n-i+1}^(1) + b_i, read off the energy column (the same
+    Fractions where a_i = 1 and b_i = 0), and N^2 is the energy column less
+    alpha_0^(1). The norms are taken from the N^2 values, the first-failure
+    levels are found by scanning the energy and N^2 columns, each exact
+    column becomes Fractions once, and the rows are built from the columns.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -290,7 +312,7 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         coeffs = CoefficientVector(tuple(form[0] for form in forms))
         below = extend_seeds(coeffs, spec.vacuum[0], spec.vacuum[1:]).extended[:-1]
     if exact:
-        # With integral slopes the loop runs on ints, every value d times the true one.
+        # With integral slopes the values are ints, every one d times the true one.
         slope, offset = zip(*forms)
         d, slope, offset, vacuum, below = _exact.same_arithmetic(slope, offset, spec.vacuum, below)
         fns = _affine(slope, offset)
@@ -307,14 +329,10 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     ladders, nsq = [], []
     f1, vacuum0 = fns[0], vacuum[0]
     ladder_fns = list(zip(range(2, k + 1), fns[1:], vacuum[1:]))
-    # N_n^2 must lie strictly between low and high. A float64 one must be
-    # finite. An exact one at or past 2^2050 (d << 2050 scaled) has a norm of
-    # 2^1025 or more, beyond the float range: the pass stops at that level,
-    # and _norms raises at the first level whose norm overflows.
-    low, high = -math.inf, d << 2050 if exact else math.inf
-    for n in range(n_max + 1):
+    low, high = -math.inf, math.inf
+    for n in range(min(n_max + 1, k) if exact else n_max + 1):
         # Ladder i holds its vacuum value at n = 0 and until alpha_{n-i+1}
-        # exists, i.e. while i > reach.
+        # exists, i.e. while i > reach: never from level k - 1 on.
         reach = len(energies) if n else 1
         try:
             values = [f(energies[-i]) if i <= reach else v for i, f, v in ladder_fns]
@@ -325,22 +343,42 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         energies.append(energy)
         ladders += values
         nsq.append(square)
+        # Only a float64 N_n^2 can fail. alpha_n^(1) passed this check one
+        # level earlier, as N_{n-1}^2, and a non-finite ladder value or
+        # energy makes N_n^2 non-finite too.
         if not low < square < high:
-            if exact:
-                break
-            # alpha_n^(1) passed this check one level earlier, as N_{n-1}^2, and
-            # a non-finite ladder value or energy makes N_n^2 non-finite too.
             raise ComputationError(f"float64 value is not finite at level n={n}")
     del energies[: len(below)]
-    energies.pop()  # alpha_{n+1}^(1) of the last level
-    first_negative_energy = _first(map(lt, energies, repeat(0)))
-    first_decrease = _first(map(lt, energies[1:], energies), 1)
-    first_negative_norm_sq = _first(map(lt, nsq, repeat(0)))
-    columns = [energies, *(ladders[i :: k - 1] for i in range(k - 1))]
+    if exact:
+        # An N_n^2 at or past 2^2050 (d << 2050 scaled) has a norm of 2^1025
+        # or more, beyond the float range: the energies are cut at a level
+        # with one, and _norms raises at the first level whose norm overflows.
+        bound = (d << 2050) + math.ceil(vacuum0)
+        _exact.affine_recurrence(slope, sum(offset), energies, n_max + 2, bound)
+        if type(vacuum0) is Fraction:
+            nsq = _exact.affine_column(1, -vacuum0, energies[1:])
+        else:
+            nsq = [x - vacuum0 for x in energies[1:]] if vacuum0 else energies[1:]
     norms = _norms(nsq, d)
     if exact:
-        columns = [_exact.fractions(column, d) for column in columns]
-        nsq = _exact.fractions(nsq, d)
+        alphas = _exact.fractions(energies, d)
+    energies.pop()  # alpha_{n+1}^(1) of the last level
+    first_negative_energy = _first(map(lt, energies, repeat(0)))
+    first_decrease = _first_decrease(energies)
+    first_negative_norm_sq = _first(map(lt, nsq, repeat(0)))
+    if exact:
+        columns = [alphas[:-1]]
+        for i, a, b in zip(range(2, k + 1), slope[1:], offset[1:]):
+            # levels 0..k-1 from the pass, the later ones from the energies
+            head = _exact.fractions(ladders[i - 2 :: k - 1], d)
+            live = slice(len(head) - i + 1, len(nsq) - i + 1)
+            if a == 1 and b == 0:
+                columns.append(head + alphas[live])
+            else:
+                columns.append(head + _exact.affine_column(a, b, energies[live], d))
+        nsq = _exact.fractions(nsq, d) if vacuum0 else alphas[1:]
+    else:
+        columns = [energies, *(ladders[i :: k - 1] for i in range(k - 1))]
     rows = tuple(map(SpectrumRow._make, zip(count(), zip(*columns), nsq, norms)))
     return SpectrumTable(rows, first_negative_energy, first_negative_norm_sq, first_decrease)
 

@@ -284,9 +284,16 @@ def _cmd_spectrum(args) -> _Report:
         "nondecreasing": table.nondecreasing,
     }
     header = ["n", *(f"alpha_{i}" for i in range(1, k + 1)), "Nsq", "N", "physical", "unitary"]
+    # A row is physical where alpha_n^(1) >= 0, read off its sign (a
+    # Fraction's is its numerator's), and unitary where N_n^2 >= 0, i.e.
+    # where spectrum gave it a norm.
+    energies = (row.alphas[0] for row in table.rows)
+    if spec.arithmetic == "exact":
+        energies = (x.numerator for x in energies)
+    physical = [x >= 0 for x in energies]
     rows = (
-        [row.n, *row.alphas, row.nsq, row.norm, row.alphas[0] >= 0, row.nsq >= 0]
-        for row in table.rows
+        [row.n, *row.alphas, row.nsq, row.norm, ok, row.norm is not None]
+        for row, ok in zip(table.rows, physical)
     )
     failing = sorted(name for name, ok in flags.items() if not ok)
     error = f"physicality flags failed: {', '.join(failing)}" if args.strict_physical and failing else None
@@ -300,10 +307,10 @@ def _cmd_spectrum(args) -> _Report:
                     "alphas": [_scalar_json(a) for a in row.alphas],
                     "nsq": _scalar_json(row.nsq),
                     "norm": row.norm,
-                    "physical": bool(row.alphas[0] >= 0),
-                    "unitary": bool(row.nsq >= 0),
+                    "physical": ok,
+                    "unitary": row.norm is not None,
                 }
-                for row in table.rows
+                for row, ok in zip(table.rows, physical)
             ],
             "flags": flags,
         },

@@ -187,8 +187,9 @@ def _miles(k: int, t: int) -> int:
     top = t // (k + 1)
     acc = 1
     for j in range(1, top + 1):
-        n = t - j * k
-        term = comb(n, j) + comb(n - 1, j - 1)
+        n = t - j * k  # >= j >= 1, so comb(n - 1, j - 1) = comb(n, j) j / n exactly
+        term = comb(n, j)
+        term += term * j // n
         acc = (acc << (k + 1)) + (-term if j % 2 else term)
     return (acc << (t - top * (k + 1))) >> 1
 
@@ -212,11 +213,12 @@ def miles_number(k: int, m: int) -> int:
         2 F = sum_{j=0}^{t // (k+1)} (-1)^j
               [comb(t - jk, j) + comb(t - jk - 1, j - 1)] 2^(t - j(k+1)),
 
-    summed by Horner's rule in 2^(k+1), one comb pair per term, and
-    halved exactly; F = 1 at t = 0.
+    summed by Horner's rule in 2^(k+1) and halved exactly; F = 1 at
+    t = 0. Each term takes one comb: n = t - jk >= j >= 1, so
+    comb(n - 1, j - 1) = comb(n, j) j / n, an exact division.
 
     k = 2 keeps the walk: there the closed form has t/3 + 1 terms, and
-    their comb pairs of numbers up to t bits make it several times slower
+    their binomials of numbers up to t bits make it several times slower
     from t of a few hundred on. Neither identity runs the recurrence, so
     the value stays an independent check of iteration.
 

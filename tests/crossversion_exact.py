@@ -1,9 +1,10 @@
-"""Check _exact._written, rational_recurrence and rational_companion_power
-on any CPython, without numpy, pytest or an install.
+"""Check _exact._written, rational_recurrence, rational_companion_power,
+affine_recurrence, affine_column and floats on any CPython, without numpy,
+pytest or an install.
 
-_written writes Fraction's private slots, whose names are CPython's, so this
-script compares its results against Fraction on the interpreter it runs
-under. It loads src/kbonacci/_exact.py by path (the module imports only the
+_written writes Fraction's private slots, and affine_column and floats read
+them; their names are CPython's, so this script compares the results
+against Fraction on the interpreter it runs under. It loads src/kbonacci/_exact.py by path (the module imports only the
 standard library) and exits 1 on the first mismatch:
 
     python3.13 tests/crossversion_exact.py
@@ -71,13 +72,15 @@ def check_recurrence(exact, rng, cases=200):
     pool = [1, 2, 3, 4, 6, 9, 10, 14, 35, 65537, 65537**2, ((1 << 61) - 1) * ((1 << 31) - 1)]
     for _ in range(cases):
         k = rng.randint(1, 6)
-        lams = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3, 5, 7]), rng.choice(pool)) for _ in range(k)]
+        lams = [Fraction(rng.choice([-3, -2, -1, 0, 1, 2, 3, 5, 7]), rng.choice(pool)) for _ in range(k)]
         window = [Fraction(rng.randint(-9, 9), rng.choice(pool)) for _ in range(k)]
         n = rng.randint(0, 200)
         got = exact.rational_recurrence(lams, window, n)
         want = fraction_loop(lams, window, n)
         assert type(got) is tuple and got == tuple(want)
         assert all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
+        if not all(lams):  # companion powers take nonzero coefficients only
+            continue
         got, want = exact.rational_companion_power(lams, window, n), (window[:-1] + want)[-k:]
         assert type(got) is tuple and got == tuple(want)
         assert all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
@@ -95,6 +98,25 @@ def check_long_runs(exact, n=4000):
         assert all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
 
 
+def check_slot_readers(exact, rng, cases=300):
+    """affine_column and floats on Fractions, and affine_recurrence, which
+    runs rational_recurrence on the differenced recurrence."""
+    for _ in range(cases):
+        a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(2))
+        values = [Fraction(rng.randint(-(1 << 80), 1 << 80), rng.randint(1, 1 << 80)) for _ in range(5)]
+        got, want = exact.affine_column(a, b, values), tuple(a * x + b for x in values)
+        assert got == want and all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
+        assert exact.floats(values) == [float(x) for x in values]
+    lams, c = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)], Fraction(13, 6)
+    values = [Fraction(1), Fraction(7, 3), Fraction(1, 7)]
+    values.append(sum((lam * x for lam, x in zip(lams, reversed(values))), c))
+    want = list(values)
+    while len(want) < 2000:
+        want.append(sum((lam * x for lam, x in zip(lams, reversed(want[-3:]))), c))
+    got = exact.affine_recurrence(lams, c, values, 2000, 1 << 4000)
+    assert got == want and all(type(v) is Fraction and hash(v) == hash(w) for v, w in zip(got, want))
+
+
 def main() -> int:
     exact = load_exact()
     rng = random.Random(20071)
@@ -102,11 +124,13 @@ def main() -> int:
         check_written(exact, rng)
         check_recurrence(exact, rng)
         check_long_runs(exact)
+        check_slot_readers(exact, rng)
     except AssertionError:
         print(f"FAIL on Python {sys.version.split()[0]}")
         raise
     print(
-        "ok: _written, rational_recurrence and rational_companion_power match Fraction"
+        "ok: _written, rational_recurrence, rational_companion_power, affine_recurrence,"
+        " affine_column and floats match Fraction"
         f" on Python {sys.version.split()[0]}"
     )
     return 0

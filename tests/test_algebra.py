@@ -197,13 +197,19 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 def affine_spec(draw):
     """Exact specs on both arithmetic paths: integral slopes (ints scaled by
     the lcm of the offsets', vacuum's and seed energies' denominators) and
-    fractional slopes (Fractions), each linear or with offsets."""
-    k = draw(st.integers(min_value=1, max_value=5))
+    fractional slopes (Fractions), each linear or with offsets. Some have a
+    zero slope, and some slopes that sum to 1, where the energies grow
+    linearly with the offsets' sum."""
+    k = draw(st.integers(min_value=1, max_value=6))
     if draw(st.booleans()):
         slope = st.integers(min_value=-3, max_value=3).map(F)
     else:
         slope = st.fractions(min_value=-3, max_value=3, max_denominator=4)
     slopes = draw(st.lists(slope, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        slopes[draw(st.integers(min_value=0, max_value=k - 1))] = F(0)
+    if draw(st.booleans()):
+        slopes[0] = 1 - sum(slopes[1:])
     if draw(st.booleans()):
         offsets = [F(0)] * k
     else:
@@ -215,9 +221,60 @@ def affine_spec(draw):
 
 class TestSpectrumIntegerPath:
     @settings(deadline=None)
-    @given(affine_spec(), st.integers(min_value=0, max_value=40))
+    @given(affine_spec(), st.integers(min_value=0, max_value=300))
     def test_matches_fraction_oracle(self, spec, n_max):
         assert_matches_fraction_oracle(spec, n_max)
+
+    @pytest.mark.parametrize(
+        "slopes,offsets,vacuum",
+        [
+            ((1, -1, 1), (0, 0, 0), (1, 0, 0)),  # roots 1, i, -i: bounded
+            ((1, -1, 1), (1, "-1/2", 0), (1, 2, "1/3")),  # grows linearly
+            (("1/2", "1/3"), (0, 0), (1, 0)),
+            (("1/2", "1/2"), ("1/3", 1), ("1/2", 0)),  # slopes sum to 1
+            (("-1/3", 0, "2/3"), ("1/5", 0, 0), (1, "1/2", 0)),
+        ],
+    )
+    @pytest.mark.parametrize("n_max", [1023, 1030, 3100])
+    def test_kernel_chunk_boundaries(self, slopes, offsets, vacuum, n_max):
+        # The energies past level k come from _exact.affine_recurrence in
+        # chunks of 1024, 2048, ... terms: these runs end on, and cross, the
+        # seams between them.
+        fns = tuple(AffineFunction(F(a), F(b)) for a, b in zip(slopes, offsets))
+        assert_matches_fraction_oracle(GHASpec(functions=fns, vacuum=tuple(map(F, vacuum))), n_max)
+
+    @pytest.mark.parametrize(
+        "slopes,offsets",
+        [
+            ((1, 1, 1), (0, 0, 0)),
+            ((2, 1, 2), (0, 0, 0)),
+            (("1/2", "1/3", "1/5"), (0, 0, 0)),
+            ((1, 0, 3), ("1/2", 0, -1)),
+            (("3/2", "1/3", "1/7"), ("1/2", "-1/3", 2)),
+        ],
+    )
+    def test_level_functions_only_on_first_k_levels(self, slopes, offsets, monkeypatch):
+        # An exact spec evaluates its level functions on levels 0..k-1 only:
+        # from there on every ladder is live and the energies are one
+        # recurrence, which _exact runs.
+        k = len(slopes)
+        spec = GHASpec(
+            functions=tuple(AffineFunction(F(a), F(b)) for a, b in zip(slopes, offsets)),
+            vacuum=(F(1),) + (F(0),) * (k - 1),
+        )
+        want = spectrum(spec, 200)
+        calls = []
+        affine = algebra._affine
+
+        def counted(slopes, offsets):
+            def spy(i, f):
+                return lambda x: calls.append(i) or f(x)
+
+            return [spy(i, f) for i, f in enumerate(affine(slopes, offsets))]
+
+        monkeypatch.setattr(algebra, "_affine", counted)
+        assert spectrum(spec, 200) == want
+        assert calls and all(calls.count(i) <= k for i in range(k))
 
     @pytest.mark.parametrize(
         "slopes,offsets,vacuum,levels",
@@ -384,6 +441,24 @@ class TestExactNormOverflow:
         assert str(long.value) == str(short.value)
         assert str(short.value).startswith("norm N_")
         assert lengths and max(lengths) <= 60
+
+
+    def test_million_levels_stop_in_the_first_chunks(self, monkeypatch):
+        # Fibonacci norms leave the float range at level 2950: the energies
+        # run in chunks of 1024, 2048, ... terms and stop after the chunk
+        # that reaches the bound, not at level 10^6.
+        steps = []
+        iterate = algebra._exact.iterate
+
+        def spy(lams, window, n):
+            steps.append(n)
+            assert sum(steps) < 10**4, "the chunks ran past the bound"  # before the memory runs out
+            return iterate(lams, window, n)
+
+        monkeypatch.setattr(algebra._exact, "iterate", spy)
+        with pytest.raises(ComputationError, match=r"^norm N_2950 overflows float64 at level n=2950$"):
+            spectrum(linear_spec((1, 1), (1, 0)), 10**6)
+        assert steps == [1024, 2048]
 
 
 def reference_norm(nsq, n):

@@ -16,7 +16,7 @@ from itertools import product
 from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kbonacci
 from kbonacci import _exact
@@ -469,6 +469,9 @@ class TestIntegerKernel:
         )
 
 
+small_fraction = st.fractions(-3, 3, max_denominator=6)
+
+
 class TestRationalKernel:
     """Non-integral coefficients: integers with denominator exponents over
     a coprime base of the input denominators, refined when a step finds a
@@ -561,6 +564,33 @@ class TestRationalKernel:
     def test_coprime_base(self, numbers, base):
         assert sorted(_exact.coprime_base(numbers)) == base
 
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda k: st.tuples(
+                st.lists(st.one_of(st.just(F(0)), small_fraction), min_size=k, max_size=k),
+                st.lists(small_fraction, min_size=k, max_size=k),
+            )
+        ),
+        st.integers(min_value=0, max_value=80),
+    )
+    @example(([F(0), F(3, 2), F(-1, 2)], [F(0), F(1), F(2)]), 6)  # the newest entry's coefficient is 0
+    def test_zero_coefficients(self, problem, n):
+        # A zero coefficient has no term but keeps its place in the window;
+        # differencing an affine recurrence makes such coefficients.
+        lams, window = problem
+        k = len(lams)
+        values = list(window)
+        for _ in range(n):
+            values.append(sum((lam * x for lam, x in zip(lams, reversed(values[-k:]))), F(0)))
+        assert_reduced_and_equal(_exact.rational_recurrence(lams, window, n), tuple(values[k - 1 :]))
+
+    @pytest.mark.parametrize(
+        "x,b,want", [(7, 2, (7, 0)), (3**500 * 7, 3, (7, 500)), (-(6**77), 6, (-1, 77)), (12, 4, (3, 1))]
+    )
+    def test_strip(self, x, b, want):
+        assert _exact._strip(x, b) == want
+
     @given(st.lists(st.integers(min_value=1, max_value=10**6), max_size=8))
     def test_coprime_base_properties(self, numbers):
         base = _exact.coprime_base(numbers)
@@ -570,6 +600,67 @@ class TestRationalKernel:
             for b in base:
                 x = _exact._strip(x, b)[0]
             assert x == 1
+
+
+def affine_oracle(lams, c, values, length):
+    values = list(values)
+    while len(values) < length:
+        values.append(sum((lam * x for lam, x in zip(lams, reversed(values))), c))
+    return values
+
+
+class TestAffineKernel:
+    """_exact.affine_recurrence: the energy column of an exact spectrum,
+    continued on iterate (ints) or rational_recurrence (Fractions), on the
+    differenced recurrence where the constant is nonzero, in chunks of
+    1024, 2048, ... terms, cut at the first term >= bound."""
+
+    @pytest.mark.parametrize(
+        "lams,c,head",
+        [
+            ((1, 1), 0, (1, 1)),
+            ((1, -1, 1), 2, (1, 3, 4, 5)),
+            ((2, 0, -1), -3, (0, 1, 5, 8)),
+            ((F(1, 2), F(1, 3)), F(0), (F(1), F(1, 2))),
+            ((F(1, 2), F(1, 2)), F(1, 3), (F(1), F(2), F(5, 3))),  # lams sum to 1
+            ((F(-1, 3), F(0), F(2, 3)), F(1, 5), (F(1), F(1, 2), F(0), F(7, 10))),
+        ],
+    )
+    @pytest.mark.parametrize("length", [5, 1024, 1029, 3073, 3100])
+    def test_equals_plain_loop(self, lams, c, head, length):
+        head = list(head)
+        # with c != 0, the last head term must follow from the k before it
+        if c:
+            head[-1] = sum((lam * x for lam, x in zip(lams, reversed(head[:-1]))), c)
+        want = affine_oracle(lams, c, head, length)
+        got = _exact.affine_recurrence(list(lams), c, list(head), length, 1 << 4000)
+        assert len(got) == length and got == want
+        if type(lams[0]) is F:
+            assert_reduced_and_equal(tuple(got), tuple(want))
+
+    @pytest.mark.parametrize(
+        "lams,c,head", [((1, 1), 0, [1, 1]), ((F(3, 2), F(1, 3)), F(1, 2), [F(1), F(2), F(23, 6)])]
+    )
+    @pytest.mark.parametrize("length", [40, 100, 5000])
+    def test_cut_at_first_term_reaching_bound(self, lams, c, head, length):
+        bound = 10**20
+        got = _exact.affine_recurrence(list(lams), c, list(head), length, bound)
+        want = affine_oracle(lams, c, head, length)
+        cut = next((i for i, x in enumerate(want) if x >= bound), None)
+        assert got == (want if cut is None else want[: cut + 1])
+
+    @settings(deadline=None)
+    @given(
+        st.fractions(-5, 5, max_denominator=12),
+        st.fractions(-5, 5, max_denominator=12),
+        st.lists(st.fractions(max_denominator=10**6), max_size=6),
+    )
+    def test_affine_column_equals_fraction_arithmetic(self, a, b, values):
+        got = _exact.affine_column(a, b, values)
+        assert_reduced_and_equal(got, tuple(a * x + b for x in values))
+
+    def test_affine_column_on_ints_divides_by_d(self):
+        assert _exact.affine_column(3, 2, [1, 4, -5], 6) == (F(5, 6), F(7, 3), F(-13, 6))
 
 
 class TestRationalCompanion:
