@@ -19,10 +19,11 @@ x = y/q, q the lcm of the coefficient denominators
 (rational_companion_power), and each result is divided back once. An
 affine recurrence, the energies of an exact spectrum, runs on iterate or
 rational_recurrence after one differencing takes its constant away
-(affine_recurrence), and affine_column maps a column x to a x + b in int
-maps on the Fraction slots. Every such reduced pair becomes a Fraction in
-_written, the one writer of Fraction slots here, with neither a gcd nor
-Fraction's argument dispatch.
+(affine_recurrence), and affine_column maps a column x to a x + b in the
+column's kind, Fractions in int maps on their slots; fractions is the one
+function that divides a column by d. Every such reduced pair becomes a
+Fraction in _written, the one writer of Fraction slots here, with neither
+a gcd nor Fraction's argument dispatch.
 iterate and companion_sequence, the recurrence's two routes, and mat_vec
 use only exact +, - and *, so they also run unchanged on decimal.Decimal in
 an exact context, as the command line does for integer values. squarefree
@@ -37,7 +38,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import ceil, gcd, lcm, prod
-from operator import add, attrgetter, floordiv, ge, mul, sub, truediv
+from operator import add, attrgetter, floordiv, ge, mul, sub
 
 
 # The largest |e| of a literal such as "1e400": Fraction builds 10^|e|
@@ -92,17 +93,18 @@ def fractions(values, d: int = 1) -> tuple[Fraction, ...]:
     return _written(map(floordiv, values, g), map(floordiv, repeat(d), g), len(values))
 
 
-def affine_column(a, b, values, d: int = 1) -> tuple[Fraction, ...]:
-    """(a x + b) / d for each x of values as a tuple of Fractions, a, b and
-    values of one of same_arithmetic's two kinds. Ints are divided by d in
-    fractions. For Fractions and a != 0, a x + b is reduced in int maps on
-    the slots, as Fraction's own product and sum reduce it, and the pairs
-    are written by _written: x = p/q times a = s/t is
+def affine_column(a, b, values):
+    """a x + b for each x of values, a, b and values of one of
+    same_arithmetic's two kinds, as a column of that kind, which fractions
+    then divides by d. For Fractions and a != 0, a x + b is reduced in int
+    maps on the slots, as Fraction's own product and sum reduce it, and the
+    pairs are written by _written: x = p/q times a = s/t is
     ((s/g) p / h) / ((t/h) q / g), g = gcd(s, q) and h = gcd(p, t), each
     step skipped where s or t is 1, and adding b = u/w is Henrici's sum,
     or p + u q over q where w = 1."""
     if not values or type(values[0]) is not Fraction or not a:
-        return fractions([a * x + b for x in values], d)
+        # a long int times 1 is a copy of its digits
+        return [x + b for x in values] if a == 1 else [a * x + b for x in values]
     s, t = a.numerator, a.denominator
     p, q = list(map(_numerators, values)), list(map(_denominators, values))
     if s != 1:
@@ -124,13 +126,6 @@ def affine_column(a, b, values, d: int = 1) -> tuple[Fraction, ...]:
         p = list(map(floordiv, p, h))
         q = list(map(mul, q, map(floordiv, repeat(w), h)))
     return _written(p, q, len(values))
-
-
-def floats(values) -> list[float]:
-    """Fractions as correctly rounded floats, each by the int division of
-    its slots, as float(Fraction) does; OverflowError where one is beyond
-    the float range."""
-    return list(map(truediv, map(_numerators, values), map(_denominators, values)))
 
 
 def _written(numerators, denominators, size: int) -> tuple[Fraction, ...]:

@@ -33,9 +33,11 @@ level function once per level. An exact spec is affine, so its pass stops
 after level k - 1, from where every ladder is live and the energies are
 one affine recurrence, continued by an _exact kernel
 (_exact.affine_recurrence); a ladder with slope 1 and offset 0 is the
-energy column itself, the same Fractions. The first-failure levels of the
-physicality conditions come from scans of the energy and N^2 columns
-afterwards, and each exact column becomes Fractions once.
+energy column itself, the same Fractions. The norms are float roots of
+N^2, None where it is negative, and they give the first-failure levels of
+unitarity and, as a screen, of monotonicity: a norm is a nondecreasing
+function of its level's energy, so only pairs whose norms do not increase
+are compared exactly. Each exact column becomes Fractions once.
 
 A truncation to the first dim Fock levels is its spectrum table, the
 bands of its operators: H and the J_i are diagonal and the raising operator
@@ -257,24 +259,17 @@ def _norms(scaled: list, d: int) -> list[Optional[float]]:
     return norms
 
 
-def _first(flags, start: int = 0) -> Optional[int]:
-    """The level of the first true flag, levels counted from start; None when
-    no flag is true."""
-    return next(compress(count(start), flags), None)
-
-
-def _first_decrease(energy) -> Optional[int]:
+def _first_decrease(energy, norms, below: Optional[int]) -> Optional[int]:
     """The first level n >= 1 with energy[n] < energy[n-1]; None when there
-    is none. Fractions are compared as floats first: rounding is monotonic,
-    so a pair whose floats increase does not decrease, and only the other
-    pairs are compared exactly."""
-    if not energy or type(energy[0]) is not Fraction:
-        return _first(map(lt, energy[1:], energy), 1)
-    try:
-        rounded = _exact.floats(energy)
-    except OverflowError:
-        rounded = energy
-    candidates = compress(count(1), map(le, rounded[1:], rounded))
+    is none. The norms screen the pairs: norms[n - 1] is the float root of
+    N_{n-1}^2 = energy[n] - energy[0], computed exactly or rounded once in
+    float64, so it is a nondecreasing function of energy[n]. The keys are
+    0.0 at level 0, the norms before the first None (norms[below]), and
+    -1.0 for that None, where energy[n] < energy[0], so the energies
+    decrease there at the latest. A pair whose keys increase does not
+    decrease, and only the other pairs are compared exactly."""
+    keys = [0.0, *norms[:below], -1.0]
+    candidates = compress(count(1), map(le, keys[1 : len(energy)], keys))
     return next((n for n in candidates if energy[n] < energy[n - 1]), None)
 
 
@@ -297,8 +292,10 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
     to overflow. The ladder values of the later levels are
     a_i alpha_{n-i+1}^(1) + b_i, read off the energy column (the same
     Fractions where a_i = 1 and b_i = 0), and N^2 is the energy column less
-    alpha_0^(1). The norms are taken from the N^2 values, the first-failure
-    levels are found by scanning the energy and N^2 columns, each exact
+    alpha_0^(1), in the column's kind (_exact.affine_column). The norms are
+    taken from the N^2 values. The first negative N^2 is the first None
+    among them, and the norms screen the decrease scan (_first_decrease);
+    the first negative energy is a scan of the energy column. Each exact
     column becomes Fractions once, and the rows are built from the columns.
     """
     if n_max < 0:
@@ -355,17 +352,14 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
         # with one, and _norms raises at the first level whose norm overflows.
         bound = (d << 2050) + math.ceil(vacuum0)
         _exact.affine_recurrence(slope, sum(offset), energies, n_max + 2, bound)
-        if type(vacuum0) is Fraction:
-            nsq = _exact.affine_column(1, -vacuum0, energies[1:])
-        else:
-            nsq = [x - vacuum0 for x in energies[1:]] if vacuum0 else energies[1:]
+        nsq = _exact.affine_column(1, -vacuum0, energies[1:]) if vacuum0 else energies[1:]
     norms = _norms(nsq, d)
     if exact:
         alphas = _exact.fractions(energies, d)
     energies.pop()  # alpha_{n+1}^(1) of the last level
-    first_negative_energy = _first(map(lt, energies, repeat(0)))
-    first_decrease = _first_decrease(energies)
-    first_negative_norm_sq = _first(map(lt, nsq, repeat(0)))
+    first_negative_energy = next(compress(count(), map(lt, energies, repeat(0))), None)
+    first_negative_norm_sq = norms.index(None) if None in norms else None
+    first_decrease = _first_decrease(energies, norms, first_negative_norm_sq)
     if exact:
         columns = [alphas[:-1]]
         for i, a, b in zip(range(2, k + 1), slope[1:], offset[1:]):
@@ -375,7 +369,8 @@ def spectrum(spec: GHASpec, n_max: int) -> SpectrumTable:
             if a == 1 and b == 0:
                 columns.append(head + alphas[live])
             else:
-                columns.append(head + _exact.affine_column(a, b, energies[live], d))
+                column = _exact.affine_column(a, b, energies[live])
+                columns.append(head + _exact.fractions(column, d))
         nsq = _exact.fractions(nsq, d) if vacuum0 else alphas[1:]
     else:
         columns = [energies, *(ladders[i :: k - 1] for i in range(k - 1))]

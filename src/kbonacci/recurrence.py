@@ -145,7 +145,7 @@ def iterate_sequence(coeffs: CoefficientVector, seeds: SeedState, n_max: int) ->
     Exact, with Fraction results. n_max must be >= 0.
     """
     d, lams, window = _inputs(coeffs, seeds, n_max, "n_max")
-    if any(c.denominator != 1 for c in coeffs.values):
+    if type(lams[0]) is Fraction:
         return ExactSequence(_exact.rational_recurrence(lams, window, n_max))
     return ExactSequence(_exact.fractions(_exact.iterate(lams, window, n_max), d))
 

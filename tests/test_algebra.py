@@ -659,6 +659,134 @@ class TestPhysicality:
         assert table.first_negative_energy == 3
 
 
+def plain_decrease(energy):
+    return next((n for n in range(1, len(energy)) if energy[n] < energy[n - 1]), None)
+
+
+def plain_scans(table):
+    """The first decrease of alpha_n^(1) and the first negative N^2 of a
+    table, by comparing every pair and every N^2 in its own arithmetic."""
+    decrease = plain_decrease([row.alphas[0] for row in table.rows])
+    return decrease, next((row.n for row in table.rows if row.nsq < 0), None)
+
+
+def bits(x):
+    return x.numerator.bit_length() - x.denominator.bit_length()
+
+
+@st.composite
+def wide_spec(draw):
+    """Exact specs with non-integral slopes whose energies pass 2^1024:
+    a slope between 7/4 and 15/8 leads, the other slopes are small, and
+    the offsets and vacuum values are nonnegative, with alpha_0^(1) > 0,
+    so that no energy sits at a fixed point."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    lead = draw(st.sampled_from([F(7, 4), F(9, 5), F(11, 6), F(13, 7), F(15, 8)]))
+    rest = st.fractions(-F(1, 5), F(1, 5), max_denominator=5)
+    rest = draw(st.lists(rest, min_size=k - 1, max_size=k - 1))
+    nonnegative = st.fractions(0, 3, max_denominator=6)
+    offsets = [F(0)] * k
+    if draw(st.booleans()):
+        offsets = draw(st.lists(nonnegative, min_size=k, max_size=k))
+    vacuum = [draw(st.fractions(F(1, 6), 3, max_denominator=6))]
+    vacuum += draw(st.lists(nonnegative, min_size=k - 1, max_size=k - 1))
+    fns = tuple(AffineFunction(a, b) for a, b in zip([lead, *rest], offsets))
+    return GHASpec(functions=fns, vacuum=tuple(vacuum))
+
+
+@st.composite
+def decreasing_column(draw):
+    """A column alpha_0, ..., alpha_{n+1} of Fractions below 2^2040 that
+    runs past 2^1024 and moves by steps of any size there, some too small
+    for a float to see, some zero, and some negative; it may fall back
+    below alpha_0."""
+    start = draw(st.fractions(-3, 3, max_denominator=7))
+    top = F(draw(st.integers(1, 2**40)), draw(st.sampled_from([1, 3, 7, 2**61 - 1]))) * 2**1100
+    column = [start, top]
+    for _ in range(draw(st.integers(0, 60))):
+        size = F(2) ** draw(st.integers(-20, 1090)) / draw(st.sampled_from([1, 3, 5, 11]))
+        step = draw(st.sampled_from([1, 1, 1, 0, -1]))
+        column.append(column[-1] + step * size)
+    if draw(st.booleans()):
+        column.insert(draw(st.integers(1, len(column))), start - 1)
+    return column
+
+
+class TestDecreaseScreen:
+    """spectrum() reads the first negative N^2 off the norms (the first
+    None) and screens the decrease scan with them: the norm of level n - 1
+    grows with alpha_n^(1), so only pairs whose norms do not increase are
+    compared exactly."""
+
+    @settings(deadline=None)
+    @given(affine_spec(), st.integers(min_value=0, max_value=300), st.booleans())
+    def test_spectra_equal_plain_scans(self, spec, n_max, floats):
+        try:
+            table = spectrum(float_twin(spec) if floats else spec, n_max)
+        except ComputationError:
+            return
+        assert (table.first_decrease, table.first_negative_norm_sq) == plain_scans(table)
+
+    @settings(max_examples=25, deadline=None)
+    @given(wide_spec())
+    def test_energies_past_float_range_equal_plain_scans(self, spec):
+        n_max = 1900
+        try:
+            table = spectrum(spec, n_max)
+        except ComputationError as err:  # the norm of level m overflows: stop before it
+            table = spectrum(spec, int(str(err).rsplit("=", 1)[1]) - 1)
+        assert max(bits(row.alphas[0]) for row in table.rows) >= 1024
+        assert (table.first_decrease, table.first_negative_norm_sq) == plain_scans(table)
+
+    def test_decrease_past_float_range(self):
+        # roots 3/2 e^(+-i theta), theta near pi/1845: the energies rise to
+        # about 2^1079, then fall
+        table = spectrum(linear_spec((3 - F(1, 230000), F(-9, 4)), (1, 0)), 2000)
+        levels = (table.first_decrease, table.first_negative_norm_sq)
+        assert levels == plain_scans(table) == (1843, 1844)
+        assert bits(table.rows[1842].alphas[0]) >= 1024
+
+    @settings(deadline=None)
+    @given(decreasing_column())
+    def test_fraction_columns_equal_plain_scan(self, column):
+        energy = column[:-1]
+        norms = algebra._norms([x - column[0] for x in column[1:]], 1)
+        below = norms.index(None) if None in norms else None
+        assert algebra._first_decrease(energy, norms, below) == plain_decrease(energy)
+
+    def test_few_exact_comparisons(self, monkeypatch):
+        # Slopes 3/2, 1/3, 1/7 at 2000 levels: the energies pass 2^1024 at
+        # level 1283 and never decrease. Every pair's norms increase, so the
+        # scan compares no Fractions; a float screen that gives up past the
+        # float range compares all 2000 pairs.
+        spec = linear_spec(("3/2", "1/3", "1/7"), (1, "1/2", 0))
+        compared, scanning = [], []
+
+        def counted(compare):
+            def spy(a, b):
+                if scanning:
+                    compared.append((a, b))
+                return compare(a, b)
+
+            return spy
+
+        scan = algebra._first_decrease
+
+        def spy(*args):
+            scanning.append(True)
+            try:
+                return scan(*args)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(F, "__lt__", counted(F.__lt__))
+        monkeypatch.setattr(F, "__le__", counted(F.__le__))
+        monkeypatch.setattr(algebra, "_first_decrease", spy)
+        table = spectrum(spec, 2000)
+        assert table.first_decrease is None and bits(table.rows[-1].alphas[0]) >= 1024
+        assert len(compared) <= 5
+
+
 class TestTruncatedOps:
     def test_fibonacci_dim4(self):
         table = truncated_operators(linear_spec((1, 1), (1, 0)), 4)

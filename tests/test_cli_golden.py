@@ -55,6 +55,10 @@ SPECS = {
     "expr_float.json": _spec(
         2, ["1", "0"], functions=["x+1/(x+1)", "x/(x+2)"], arithmetic="float64", n_max=30
     ),
+    # energies past 2^1024 from level 1283 on, norms still in the float range
+    "wide.json": _spec(3, ["1", "1/2", "0"], linear=["3/2", "1/3", "1/7"]),
+    # alpha_n^(1) decreases from level 5, N^2 < 0 from level 7, alpha_n^(1) < 0 from level 9
+    "osc.json": _spec(2, ["1", "0"], linear=["19/10", "-1"], n_max=40),
     "bad_syntax.json": '{"k": 2, "linear": ["1", "1"],',
     "bad_literal.json": '{"k": 1, "linear": [0.5], "vacuum": ["1"], "n_max": 3}',
 }
@@ -68,8 +72,11 @@ def _cases():
         for fmt in formats:
             cases.append(([*argv, "--format", fmt] if fmt else list(argv), usage))
 
-    for spec in ("fib", "tri", "signed", "zero", "sign", "float", "expr", "expr_float", "affine"):
+    for spec in ("fib", "tri", "signed", "zero", "sign", "float", "expr", "expr_float", "affine",
+                 "osc"):
         add("spectrum", f"{spec}.json")
+    add("spectrum", "wide.json", "--levels", "2000")
+    add("spectrum", "osc.json", "--strict-physical", formats=("table",))
     add("spectrum", "fib.json", "--levels", "1480", formats=("table", "csv"))
     add("spectrum", "float.json", "--levels", "1500", formats=("json",))
     add("spectrum", "sign.json", "--strict-physical")
@@ -82,6 +89,7 @@ def _cases():
                       ("expr", 6), ("affine", 9)):
         add("verify", f"{spec}.json", "--dim", str(dim))
     add("verify", "fib.json", "--dim", "1", formats=("table",))
+    add("verify", "osc.json", "--dim", "12", formats=("table",))
     add("verify", "float.json", "--dim", "80", "--tol", "1e-12", formats=("table",))
     add("verify", "float.json", "--dim", "80", "--tol", "1e-300")
 

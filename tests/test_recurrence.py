@@ -657,10 +657,12 @@ class TestAffineKernel:
     )
     def test_affine_column_equals_fraction_arithmetic(self, a, b, values):
         got = _exact.affine_column(a, b, values)
-        assert_reduced_and_equal(got, tuple(a * x + b for x in values))
+        assert_reduced_and_equal(tuple(got), tuple(a * x + b for x in values))
 
     def test_affine_column_on_ints_divides_by_d(self):
-        assert _exact.affine_column(3, 2, [1, 4, -5], 6) == (F(5, 6), F(7, 3), F(-13, 6))
+        column = _exact.affine_column(3, 2, [1, 4, -5])
+        assert column == [5, 14, -13]
+        assert _exact.fractions(column, 6) == (F(5, 6), F(7, 3), F(-13, 6))
 
 
 class TestRationalCompanion:
